@@ -1,4 +1,4 @@
-"""Monotone-predicate bisection shared by dispatch and pricing."""
+"""Monotone-predicate bisection used to locate price-set endpoints."""
 
 from typing import Callable, Tuple
 

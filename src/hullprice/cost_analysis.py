@@ -36,15 +36,8 @@ class Interval:
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol
-
-    def shifted_sum(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .cost_analysis import average_total_cost, cost_eval, ec_min, profit
 from .dual_pricing import PriceSet, UpliftReport, dual_value, price_set
 from .errors import DomainError, StalePriceError
 from .market_model import GeneratorSpec, MarketInstance
-from .primal_solver import DispatchSolution, solve_primal
+from .primal_solver import DispatchSolution
 from .tolerances import FEASIBILITY_TOL, STALE_PRICE_TOL
 
 # case tags for the vanishing-margin price set
@@ -265,17 +265,19 @@ def _caps_all_large_capped(instance: MarketInstance, part: LnmguPartition):
 
 
 def diagnostics(
-    instance: MarketInstance, chp_report: UpliftReport, mchp_result: MchpResult
+    instance: MarketInstance,
+    dispatch: DispatchSolution,
+    chp_report: UpliftReport,
+    mchp_result: MchpResult,
 ) -> DiagnosticsReport:
     """Cross-checks between exact dispatch, hull prices and capped prices.
 
-    Recomputes the exact schedule internally, so it can run from a report
-    alone.  All checks hold for every valid instance; a failure points at
-    a numerics bug, not at the input.
+    ``dispatch`` is the exact schedule both settlements were made against.
+    All checks hold for every valid instance; a failure points at a
+    numerics bug, not at the input.
     """
     d = instance.demand
     part = classify_lnmgu(instance, default_epsilon(instance))
-    dispatch = solve_primal(instance)
 
     large = set(part.large)
     committed_large = sum(1 for e in dispatch.schedule if e.on and e.id in large)

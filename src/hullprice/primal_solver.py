@@ -1,28 +1,25 @@
 """Exact centralized dispatch.
 
 Commitment is solved by exhaustive subset search (instances are small by
-construction) and the dispatch of each committed set by bisection on the
-shared marginal price: outputs below the price-level set are raised, the
-remaining demand is spread over units indifferent at that price.  Start-up
+construction) and the dispatch of each committed set at the shared
+marginal price, found exactly from the breakpoints of the units' output
+ceilings: outputs below the price-level set are raised, the remaining
+demand is spread over units indifferent at that price.  Start-up
 costs are added per committed unit after dispatch.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from ._search import bisect_transition
-from .cost_analysis import ec_min
 from .errors import InfeasibleError, SizeError
-from .market_model import GeneratorSpec, MarketInstance
+from .market_model import GeneratorSpec, MarketInstance, PiecewiseLinear, Quadratic
 from .tolerances import FEASIBILITY_TOL
 
 MAX_GENERATORS = 24
-
-# bisection stop width for the marginal price ($ / MWh)
-_LAMBDA_WIDTH = 5e-13
 
 
 @dataclass(frozen=True)
@@ -54,6 +51,12 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     Returns ``(outputs, lam)`` with outputs aligned to ``gens`` and lam the
     shared marginal price.  Start-up costs play no role here; every unit in
     ``gens`` is treated as running.
+
+    The output ceiling sum(min(max_out_at(lam), cap)) is nondecreasing and
+    piecewise linear in lam, bending or jumping only at linear costs, PWL
+    slopes and the two ends of each quadratic ramp.  lam is the first of
+    these breakpoints whose ceiling covers demand, or the root of the
+    quadratic ramps' linear piece on the interval just before it.
     """
     caps = [g.x_max for g in gens]
     if sum(caps) < demand - FEASIBILITY_TOL:
@@ -64,21 +67,65 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     def ceiling(lam: float) -> float:
         return sum(min(g.curve.max_out_at(lam), cap) for g, cap in zip(gens, caps))
 
-    lam_lo = min(g.curve.slope_right(0.0) for g in gens) - 1.0
-    lam_hi = max(g.curve.slope_left(g.x_max) for g in gens) + 1.0
-    slack = 1e-12 * max(1.0, abs(demand))
-    target = min(demand, sum(caps)) - slack
-    if ceiling(lam_lo) >= target:
-        lam_lo, lam_hi = lam_lo, lam_lo  # degenerate; demand ~ 0
-    else:
-        lam_lo, lam_hi = bisect_transition(
-            lam_lo, lam_hi, lambda lam: ceiling(lam) >= target, width=_LAMBDA_WIDTH
-        )
+    prices = set()
+    ramps = {}  # unit index -> (start, end) price of a quadratic's output ramp
+    for i, (g, cap) in enumerate(zip(gens, caps)):
+        curve = g.curve
+        if isinstance(curve, PiecewiseLinear):
+            prices.update(slope for _, slope in curve.segments)
+        elif isinstance(curve, Quadratic) and curve.q > 0.0:
+            # however flat, a ramp spans at least one float step in price
+            end = curve.a + curve.q * min(cap, curve.domain_max)
+            ramps[i] = (curve.a, max(end, math.nextafter(curve.a, math.inf)))
+            prices.update(ramps[i])
+        else:
+            prices.add(curve.a)
+    breaks = sorted(prices)
 
-    # base outputs from the low side, headroom from the high side: at a
-    # kink-located price this is exactly the optimal allocation box
-    base = [min(g.curve.min_out_at(lam_lo), cap) for g, cap in zip(gens, caps)]
-    room = [min(g.curve.max_out_at(lam_hi), cap) for g, cap in zip(gens, caps)]
+    need = min(demand, sum(caps))
+    target = need - 1e-12 * max(1.0, abs(demand))
+    # first breakpoint whose ceiling reaches the target; past the last one
+    # every unit is at capacity
+    k, top = 0, len(breaks) - 1
+    while k < top:
+        mid = (k + top) // 2
+        if ceiling(breaks[mid]) >= target:
+            top = mid
+        else:
+            k = mid + 1
+    lam = breaks[k]
+    marginal = ()  # ramps with lam strictly inside them
+    if k > 0:
+        left = breaks[k - 1]
+        active = [i for i, (start, end) in ramps.items() if start <= left and end >= lam]
+        if active:
+            # on (left, lam) only the active ramps move: solve
+            # fixed + sum((lam - a_i) / q_i) = need
+            fixed = sum(
+                min(g.curve.max_out_at(left), cap)
+                for i, (g, cap) in enumerate(zip(gens, caps))
+                if i not in active
+            )
+            ramp_curves = [gens[i].curve for i in active]
+            root = (need - fixed + sum(c.a / c.q for c in ramp_curves)) / sum(
+                1.0 / c.q for c in ramp_curves
+            )
+            if root < lam:
+                lam, marginal = root, active
+
+    # base outputs are the least, headroom the most each unit can give at
+    # lam; the residual goes to units with room, in order.  A marginal ramp
+    # can move by more than the residual tolerance over one float step of
+    # lam, so its base and headroom come from the floats on either side.
+    below, above = math.nextafter(lam, -math.inf), math.nextafter(lam, math.inf)
+    base = [
+        min(g.curve.min_out_at(below if i in marginal else lam), cap)
+        for i, (g, cap) in enumerate(zip(gens, caps))
+    ]
+    room = [
+        min(g.curve.max_out_at(above if i in marginal else lam), cap)
+        for i, (g, cap) in enumerate(zip(gens, caps))
+    ]
     outputs = list(base)
     residual = demand - sum(base)
     for i in range(len(outputs)):
@@ -90,14 +137,9 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
             residual -= add
     if residual > FEASIBILITY_TOL:
         raise InfeasibleError(
-            f"dispatch left {residual} MW unserved at marginal price {lam_hi}"
+            f"dispatch left {residual} MW unserved at marginal price {lam}"
         )
-    return outputs, 0.5 * (lam_lo + lam_hi)
-
-
-def _is_lnmgu(gen: GeneratorSpec, demand: float) -> bool:
-    # economic minimum above every output the market could ever need
-    return ec_min(gen) > min(demand, gen.x_max) + FEASIBILITY_TOL
+    return outputs, lam
 
 
 def solve_primal(instance: MarketInstance) -> DispatchSolution:
@@ -146,11 +188,6 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
         for g in instance.generators
     )
     committed = tuple(e.id for e in schedule if e.on)
-
-    lnmgu_on = sum(
-        1 for e in schedule if e.on and _is_lnmgu(instance.generator(e.id), instance.demand)
-    )
-    assert lnmgu_on <= 1, "optimal commitment ran more than one above-demand-scale unit"
 
     return DispatchSolution(
         total_cost=best_cost,

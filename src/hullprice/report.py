@@ -100,7 +100,7 @@ def run_pipeline(
             mchp_result.epsilon_used = classify_lnmgu(instance, epsilon_override).epsilon
 
     with _stage("diagnostics", timings):
-        checks = diagnostics(instance, chp_report, mchp_result)
+        checks = diagnostics(instance, dispatch, chp_report, mchp_result)
 
     return PricingReport(
         demand=instance.demand,

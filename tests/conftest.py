@@ -41,6 +41,12 @@ EX3_JSON = _ex345(5)
 EX4_JSON = _ex345(4)
 EX5_JSON = _ex345(2)
 
+# demand 12000 equals total capacity; both units must run at capacity
+LARGE_MW_FLEET = [
+    {"id": "g0", "w": 16000, "curve": {"quadratic": {"a": 0, "q": 0.001}}, "x_max": 2000},
+    {"id": "g1", "w": 0, "curve": {"linear": 0}, "x_max": 10000},
+]
+
 SQRT32 = math.sqrt(32.0)
 
 

@@ -2,9 +2,10 @@
 
 Nothing here reuses the package's pricing logic.  Curve values and slopes
 are recomputed from the dataclass fields, hulls come from a geometric
-lower-hull sweep, dispatch from dynamic programming over an output grid,
-and price/output searches from plain predicate bisection.  Agreement with
-the package is therefore a genuine second opinion, not an echo.
+lower-hull sweep, dispatch from dynamic programming over an output grid
+or from bisection on the marginal price, and price/output searches from
+plain predicate bisection.  Agreement with the package is therefore a
+genuine second opinion, not an echo.
 """
 
 import json
@@ -223,6 +224,44 @@ def dp_primal(instance, steps=200):
             new[k] = np.min(dp[k::-1] + row[: k + 1])
         dp = new
     return float(dp[steps])
+
+
+def bisect_dispatch(gens, demand, width=5e-13):
+    """Economic dispatch of committed units by bisection on the price.
+
+    Brackets the first price whose output ceiling covers demand less a
+    relative slack, takes base outputs from the bracket's low side and
+    headroom from its high side, and fills the rest in unit order.
+    Returns ``(outputs, lam)`` with lam the bracket midpoint.
+    """
+    caps = [g.x_max for g in gens]
+
+    def ceiling(lam):
+        return sum(max_out(g.curve, lam, cap) for g, cap in zip(gens, caps))
+
+    lo = min(slope_right(g.curve, 0.0) for g in gens) - 1.0
+    hi = max(slope_left(g.curve, g.x_max) for g in gens) + 1.0
+    target = min(demand, sum(caps)) - 1e-12 * max(1.0, abs(demand))
+    if ceiling(lo) >= target:
+        hi = lo
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if ceiling(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+
+    outputs = [min_out(g.curve, lo, cap) for g, cap in zip(gens, caps)]
+    room = [max_out(g.curve, hi, cap) for g, cap in zip(gens, caps)]
+    residual = demand - sum(outputs)
+    for i in range(len(outputs)):
+        add = min(residual, room[i] - outputs[i])
+        if add > 0.0:
+            outputs[i] += add
+            residual -= add
+    return outputs, 0.5 * (lo + hi)
 
 
 def level_set_price_interval(gens, demand, caps=None, width=1e-12):

@@ -213,7 +213,7 @@ def test_diagnostics_example_three(ex3):
     res = mchp_uplifts(ex3, sol, 3.0)
     assert chp.total_uplift == pytest.approx(4.0, abs=1e-9)
     assert res.total_uplift == pytest.approx(0.0, abs=1e-9)
-    report = diagnostics(ex3, chp, res)
+    report = diagnostics(ex3, sol, chp, res)
     assert report.passed
 
 
@@ -223,7 +223,7 @@ def test_diagnostics_example_five(ex5):
     res = mchp_uplifts(ex5, sol, 4.0)
     assert chp.total_uplift == pytest.approx(8.0, abs=1e-9)
     assert res.total_uplift == pytest.approx(2.0, abs=1e-9)
-    report = diagnostics(ex5, chp, res)
+    report = diagnostics(ex5, sol, chp, res)
     assert report.passed
 
 
@@ -242,7 +242,7 @@ def test_diagnostics_zero_startup_instance():
     res = mchp_uplifts(inst, sol, limit.representative("lo"))
     assert tag == "no_lnmgu"
     assert limit.lo == ps.lo and limit.hi == ps.hi
-    report = diagnostics(inst, chp, res)
+    report = diagnostics(inst, sol, chp, res)
     assert report.passed
 
 

@@ -1,5 +1,6 @@
-"""Exact dispatch: commitment enumeration and lambda bisection."""
+"""Exact dispatch: commitment enumeration and breakpoint marginal prices."""
 
+import itertools
 import math
 import random
 
@@ -18,7 +19,7 @@ from hullprice import (
 )
 
 import oracles
-from conftest import make_instance
+from conftest import LARGE_MW_FLEET, make_instance
 
 
 def test_economic_dispatch_merit_order_example():
@@ -77,6 +78,68 @@ def test_economic_dispatch_kkt_conditions():
             else:
                 assert oracles.slope_left(g.curve, x) - 1e-6 <= lam
                 assert lam <= oracles.slope_right(g.curve, x) + 1e-6
+
+
+def test_economic_dispatch_matches_bisection_oracle():
+    """Every committable subset of 400 random fleets, ray cases included."""
+    rng = random.Random(505)
+    rays = 0
+    for _ in range(400):
+        inst = oracles.random_instance(rng)
+        rays += inst.total_capacity == inst.demand
+        for size in range(1, len(inst.generators) + 1):
+            for gens in itertools.combinations(inst.generators, size):
+                if sum(g.x_max for g in gens) < inst.demand:
+                    continue
+                outputs, lam = economic_dispatch(gens, inst.demand)
+                want_outputs, want_lam = oracles.bisect_dispatch(gens, inst.demand)
+                cost = sum(oracles.curve_value(g.curve, x) for g, x in zip(gens, outputs))
+                want = sum(
+                    oracles.curve_value(g.curve, x) for g, x in zip(gens, want_outputs)
+                )
+                assert abs(cost - want) <= 1e-9 * max(1.0, abs(want))
+                assert abs(lam - want_lam) <= 1e-9
+    assert rays > 0
+
+
+def test_economic_dispatch_price_at_pwl_step_is_the_slope():
+    # the kinked unit is marginal on its second segment: lam is that
+    # segment's slope exactly, not a bisection bracket around it
+    gens = (
+        GeneratorSpec("k", 0.0, PiecewiseLinear(((2.0, 1.1), (5.0, 2.7))), 5.0),
+        GeneratorSpec("f", 0.0, Linear(1.9, 1.0), 1.0),
+    )
+    outputs, lam = economic_dispatch(gens, 3.5)
+    assert lam == 2.7
+    assert outputs == [2.5, 1.0]
+
+
+def test_economic_dispatch_ramp_flatter_than_float_resolution():
+    # a + q * x_max rounds to a: no float price lies inside the ramp, so the
+    # unit is split at the float step around a instead
+    flat = GeneratorSpec("r", 0.0, Quadratic(50.0, 1e-20, 100.0), 100.0)
+    dear = GeneratorSpec("l", 0.0, Linear(60.0, 100.0), 100.0)
+    for gens in ((flat,), (flat, dear)):
+        outputs, lam = economic_dispatch(gens, 30.0)
+        assert outputs[0] == 30.0 and sum(outputs) == 30.0
+        assert lam == pytest.approx(50.0, abs=1e-12)
+
+
+def test_economic_dispatch_ramp_root_is_exact(ex2):
+    sol = solve_primal(ex2)
+    assert sol.marginal_lambda == 3.0
+    assert sol.entry("g2").output == 3.0
+
+
+def test_dispatch_at_large_mw_scale_serves_demand():
+    # capacity equals demand at 12000 MW: the quadratic unit's ramp must
+    # end exactly at its capacity, not a relative slack short of it
+    inst = make_instance(12000, LARGE_MW_FLEET)
+    sol = solve_primal(inst)
+    assert sol.committed_set == ("g0", "g1")
+    assert sol.entry("g0").output == 2000.0
+    assert sol.entry("g1").output == 10000.0
+    assert sol.marginal_lambda == 2.0
 
 
 # ------------------------------------------------------------ solve_primal

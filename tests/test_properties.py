@@ -55,7 +55,7 @@ def test_thousand_instance_property_sweep():
         if chp.gap <= 1e-9:
             assert res.total_uplift <= 1e-6
 
-        checks = diagnostics(inst, chp, res)
+        checks = diagnostics(inst, sol, chp, res)
         assert checks.single_large_unit_committed
         assert checks.reduction_invariant
         assert checks.price_ordering
@@ -73,6 +73,21 @@ def test_thousand_instance_property_sweep():
 
     assert zero_w_checked > 100
     assert time.perf_counter() - start < 60.0
+
+
+def test_total_uplift_equals_gap_to_rounding():
+    """Settled uplift and duality gap agree to a few ulps of the cost.
+
+    Their difference is the price times the demand the dispatch leaves
+    unserved, so it measures how exactly the schedule meets demand.
+    """
+    rng = random.Random(805)
+    for _ in range(400):
+        inst = oracles.random_instance(rng)
+        sol = solve_primal(inst)
+        ps = price_set(inst.generators, inst.demand)
+        rep = uplifts(inst, sol, ps.representative("lo"))
+        assert abs(rep.gap - rep.total_uplift) <= 1e-12 * max(1.0, abs(sol.total_cost))
 
 
 def test_supporting_price_exists_iff_gap_is_zero():

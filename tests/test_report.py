@@ -19,7 +19,7 @@ from hullprice import (
 )
 from hullprice.cli import main
 
-from conftest import EX1_JSON, make_instance
+from conftest import EX1_JSON, LARGE_MW_FLEET, make_instance
 
 
 def test_pipeline_example_three(ex3):
@@ -285,6 +285,29 @@ def test_cli_infeasible_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     assert main([str(path)]) == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_cli_large_mw_ray_prices_cleanly(tmp_path, capsys):
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({"demand": 12000, "generators": LARGE_MW_FLEET}))
+    assert main([str(path)]) == 0
+    out, err = capsys.readouterr()
+    schedule = {e["id"]: e for e in json.loads(out)["dispatch"]["schedule"]}
+    assert (schedule["g0"]["u"], schedule["g0"]["x"]) == (1, 2000.0)
+    assert (schedule["g1"]["u"], schedule["g1"]["x"]) == (1, 10000.0)
+    checks = [line for line in err.splitlines() if line.startswith("check ")]
+    assert len(checks) == 5
+    assert all(line.endswith(": ok") for line in checks)
+
+
+@pytest.mark.parametrize("value", ["abc", "", "0", "-1e-7", "nan", "inf"])
+def test_cli_rejects_bad_pricer_tol(ex1_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("PRICER_TOL", value)
+    assert main([ex1_file]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: PRICER_TOL")
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_unreadable_file_exits_2(tmp_path, capsys):
