@@ -1,7 +1,7 @@
 """Command line entry point.
 
-    price instance.json [--format json|csv|markdown] [--epsilon E]
-                        [--sweep d1,d2,...] [--rep lo|mid|hi]
+    price instance.json [--format json|csv|markdown] [--sweep d1,d2,...]
+                        [--rep lo|mid|hi]
 
 The report (or demand sweep) goes to stdout, a diagnostics summary to
 stderr.  Exit codes: 0 all diagnostics pass, 1 a diagnostic failed,
@@ -69,12 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default json)",
     )
     parser.add_argument(
-        "--epsilon",
-        type=float,
-        default=None,
-        help="margin for the capped dual's diagnostics (default 1e-6 * demand)",
-    )
-    parser.add_argument(
         "--sweep",
         type=_parse_sweep,
         default=None,
@@ -129,11 +123,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
             return EXIT_OK if not bad else EXIT_CHECK_FAILED
-        report = run_pipeline(
-            instance,
-            epsilon_override=args.epsilon,
-            price_representative=args.rep,
-        )
+        report = run_pipeline(instance, price_representative=args.rep)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

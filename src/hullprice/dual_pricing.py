@@ -65,13 +65,17 @@ class PriceSet:
 
 @dataclass
 class UpliftReport:
-    """Settlement at one price: per-generator make-whole payments."""
+    """Settlement at one price: per-generator make-whole payments.
+
+    ``price_set`` is the clearing set the price was checked against.
+    """
 
     price_used: float
     per_generator: Dict[str, float]
     total_uplift: float
     dual_value: float
     gap: float
+    price_set: PriceSet
 
 
 def _resolve_caps(gens: Sequence[GeneratorSpec], caps: Optional[Sequence[float]]):
@@ -151,6 +155,23 @@ def dual_value(
     return p * demand - sum(profit(g, p, cap).value for g, cap in zip(gens, caps))
 
 
+def lost_profits(
+    instance: MarketInstance,
+    dispatch: DispatchSolution,
+    p: float,
+    caps: Sequence[float],
+) -> Dict[str, float]:
+    """Each unit's best profit at p within its cap minus what its schedule earns.
+
+    ``dispatch.schedule`` lists the units in instance order.
+    """
+    per = {}
+    for g, entry, cap in zip(instance.generators, dispatch.schedule, caps, strict=True):
+        actual = p * entry.output - cost_eval(g, entry.output, entry.on)
+        per[g.id] = profit(g, p, cap).value - actual
+    return per
+
+
 def uplifts(
     instance: MarketInstance,
     dispatch: DispatchSolution,
@@ -172,18 +193,13 @@ def uplifts(
             f"{'inf' if ps.unbounded_above else ps.hi}]"
         )
     caps = _resolve_caps(gens, caps)
-    per = {}
-    for g, cap in zip(gens, caps):
-        entry = dispatch.entry(g.id)
-        best = profit(g, p, cap).value
-        actual = p * entry.output - cost_eval(g, entry.output, entry.on)
-        per[g.id] = best - actual
+    per = lost_profits(instance, dispatch, p, caps)
     vd = dual_value(gens, instance.demand, p, caps)
-    total = sum(per.values())
     return UpliftReport(
         price_used=p,
         per_generator=per,
-        total_uplift=total,
+        total_uplift=sum(per.values()),
         dual_value=vd,
         gap=dispatch.total_cost - vd,
+        price_set=ps,
     )

@@ -18,11 +18,12 @@ fleet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .cost_analysis import average_total_cost, cost_eval, ec_min, profit
-from .dual_pricing import PriceSet, UpliftReport, dual_value, price_set
+from .cost_analysis import average_total_cost, ec_min
+from .dual_pricing import PriceSet, UpliftReport, lost_profits, price_set
 from .errors import DomainError, StalePriceError
 from .market_model import GeneratorSpec, MarketInstance
 from .primal_solver import DispatchSolution
@@ -69,13 +70,20 @@ class LnmguPartition:
 
 @dataclass
 class MchpResult:
-    """Vanishing-margin capped-dual prices and their settlement."""
+    """Vanishing-margin capped-dual prices and their settlement.
+
+    ``partition`` is the fleet split the settlement capped its units by.
+    """
 
     price_set: PriceSet
     case_tag: str
     per_generator: Dict[str, float]
     total_uplift: float
-    epsilon_used: float
+    partition: LnmguPartition
+
+    @property
+    def epsilon_used(self) -> float:
+        return self.partition.epsilon
 
 
 @dataclass
@@ -125,32 +133,28 @@ def classify_lnmgu(instance: MarketInstance, epsilon: float) -> LnmguPartition:
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     d = instance.demand
-    bounds = contract_bounds(instance)
-    large: List[str] = []
+    large: List[GeneratorSpec] = []
     regular: List[str] = []
+    headroom = math.inf
     for g in instance.generators:
-        cmax = bounds.by_generator[g.id][1]
-        if ec_min(g) > cmax + FEASIBILITY_TOL:
-            large.append(g.id)
+        floor = ec_min(g)
+        if floor > min(d, g.x_max) + FEASIBILITY_TOL:
+            large.append(g)
+            headroom = min(headroom, floor - d)
         else:
             regular.append(g.id)
 
-    eps_used = epsilon
-    if large:
-        headroom = min(ec_min(instance.generator(gid)) - d for gid in large)
-        if epsilon >= headroom:
-            eps_used = 0.5 * headroom
-
+    eps_used = 0.5 * headroom if epsilon >= headroom else epsilon
     min_avg_id = None
     if large:
-        best = None
-        for gid in sorted(large):
-            avg = average_total_cost(instance.generator(gid), d + eps_used)
-            if best is None or avg < best - 0.0:
-                best = avg
-                min_avg_id = gid
+        # min keeps the first of equal costs, so ties go to the smallest id
+        by_id = sorted(large, key=lambda g: g.id)
+        min_avg_id = min(by_id, key=lambda g: average_total_cost(g, d + eps_used)).id
     return LnmguPartition(
-        large=tuple(large), regular=tuple(regular), min_avg_id=min_avg_id, epsilon=eps_used
+        large=tuple(g.id for g in large),
+        regular=tuple(regular),
+        min_avg_id=min_avg_id,
+        epsilon=eps_used,
     )
 
 
@@ -197,16 +201,19 @@ def mchp_price_set_limit(instance: MarketInstance) -> Tuple[PriceSet, str]:
     - P_red straddles p_bar: the set is P_red truncated above at p_bar;
     - P_red lies at or above p_bar: the set collapses to {p_bar}.
     """
-    part = classify_lnmgu(instance, default_epsilon(instance))
+    return _limit_set(instance, classify_lnmgu(instance, default_epsilon(instance)))
+
+
+def _limit_set(instance: MarketInstance, part: LnmguPartition) -> Tuple[PriceSet, str]:
+    """``mchp_price_set_limit`` on a fleet already partitioned."""
     gens = list(instance.generators)
     d = instance.demand
     if not part.large:
         return price_set(gens, d), CASE_NO_LNMGU
 
-    p_bar = min(
-        average_total_cost(instance.generator(gid), d) for gid in part.large
-    )
-    regulars = [g for g in gens if g.id in set(part.regular)]
+    large = set(part.large)
+    p_bar = min(average_total_cost(g, d) for g in gens if g.id in large)
+    regulars = [g for g in gens if g.id not in large]
     regular_cap = sum(g.x_max for g in regulars)
     if not regulars or regular_cap < d - FEASIBILITY_TOL:
         return PriceSet(lo=p_bar, hi=p_bar, unbounded_above=False), CASE_LNMGU_MARGINAL
@@ -231,37 +238,25 @@ def mchp_uplifts(instance: MarketInstance, dispatch: DispatchSolution, p: float)
     never exceed their hull-price counterparts in total; at the limit
     price no large unit retains positive capped profit.
     """
-    limit_set, tag = mchp_price_set_limit(instance)
+    part = classify_lnmgu(instance, default_epsilon(instance))
+    limit_set, tag = _limit_set(instance, part)
     if not limit_set.contains(p, tol=STALE_PRICE_TOL):
         raise StalePriceError(
             f"price {p} is outside the capped clearing set [{limit_set.lo}, "
             f"{'inf' if limit_set.unbounded_above else limit_set.hi}]"
         )
-    part = classify_lnmgu(instance, default_epsilon(instance))
     large = set(part.large)
-    per: Dict[str, float] = {}
-    for g in instance.generators:
-        cap = min(instance.demand, g.x_max) if g.id in large else g.x_max
-        entry = dispatch.entry(g.id)
-        best = profit(g, p, cap).value
-        actual = p * entry.output - cost_eval(g, entry.output, entry.on)
-        per[g.id] = best - actual
+    caps = [
+        min(instance.demand, g.x_max) if g.id in large else g.x_max for g in instance.generators
+    ]
+    per = lost_profits(instance, dispatch, p, caps)
     return MchpResult(
         price_set=limit_set,
         case_tag=tag,
         per_generator=per,
         total_uplift=sum(per.values()),
-        epsilon_used=part.epsilon,
+        partition=part,
     )
-
-
-def _caps_all_large_capped(instance: MarketInstance, part: LnmguPartition):
-    gens = list(instance.generators)
-    caps = [
-        instance.demand + part.epsilon if g.id in set(part.large) else g.x_max
-        for g in gens
-    ]
-    return gens, caps
 
 
 def diagnostics(
@@ -272,32 +267,40 @@ def diagnostics(
 ) -> DiagnosticsReport:
     """Cross-checks between exact dispatch, hull prices and capped prices.
 
-    ``dispatch`` is the exact schedule both settlements were made against.
+    ``dispatch`` is the exact schedule both settlements were made against;
+    the hull set and the fleet partition are read from the settlements.
     All checks hold for every valid instance; a failure points at a
     numerics bug, not at the input.
     """
     d = instance.demand
-    part = classify_lnmgu(instance, default_epsilon(instance))
+    part = mchp_result.partition
 
     large = set(part.large)
     committed_large = sum(1 for e in dispatch.schedule if e.on and e.id in large)
     single_large = committed_large <= 1
 
-    # dropping all non-binding large units must not move the eps price set
+    reduction_ok = limit_ok = True
     if part.large:
+        # dropping all non-binding large units must not move the eps price set
         kept = mchp_price_set_eps(instance, part.epsilon)
-        gens_all, caps_all = _caps_all_large_capped(instance, part)
-        full = price_set(gens_all, d, caps_all)
+        gens = instance.generators
+        full = price_set(gens, d, [d + part.epsilon if g.id in large else g.x_max for g in gens])
         reduction_ok = abs(kept.lo - full.lo) <= _ENDPOINT_TOL and (
             kept.unbounded_above == full.unbounded_above
             if (kept.unbounded_above or full.unbounded_above)
             else abs(kept.hi - full.hi) <= _ENDPOINT_TOL
         )
-    else:
-        reduction_ok = True
+
+        # the closed-form limit must agree with a small positive margin
+        limit = mchp_result.price_set
+        limit_ok = abs(kept.lo - limit.lo) <= 1e-4 and (
+            limit.unbounded_above
+            or kept.unbounded_above
+            or abs(kept.hi - limit.hi) <= 1e-4
+        )
 
     # capped prices sit inside the hull price set or strictly above it
-    hull_set = price_set(list(instance.generators), d)
+    hull_set = chp_report.price_set
     endpoints = [mchp_result.price_set.lo]
     if not mchp_result.price_set.unbounded_above:
         endpoints.append(mchp_result.price_set.hi)
@@ -306,19 +309,6 @@ def diagnostics(
     )
 
     dominance_ok = mchp_result.total_uplift <= chp_report.total_uplift + 1e-6
-
-    # the closed-form limit must agree with a small positive margin
-    if part.large:
-        eps_set = mchp_price_set_eps(instance, default_epsilon(instance))
-        limit = mchp_result.price_set
-        lo_ok = abs(eps_set.lo - limit.lo) <= 1e-4
-        if limit.unbounded_above or eps_set.unbounded_above:
-            hi_ok = True
-        else:
-            hi_ok = abs(eps_set.hi - limit.hi) <= 1e-4
-        limit_ok = lo_ok and hi_ok
-    else:
-        limit_ok = True
 
     return DiagnosticsReport(
         single_large_unit_committed=single_large,

@@ -31,7 +31,10 @@ class ScheduleEntry:
 
 @dataclass(frozen=True)
 class DispatchSolution:
-    """Optimal commitment and dispatch for one instance."""
+    """Optimal commitment and dispatch for one instance.
+
+    ``schedule`` holds one entry per generator, in instance order.
+    """
 
     total_cost: float
     schedule: Tuple[ScheduleEntry, ...]
@@ -135,7 +138,8 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
         if add > 0.0:
             outputs[i] += add
             residual -= add
-    if residual > FEASIBILITY_TOL:
+    # one float step of a large demand can exceed the absolute tolerance
+    if residual > max(FEASIBILITY_TOL, 1e-14 * demand):
         raise InfeasibleError(
             f"dispatch left {residual} MW unserved at marginal price {lam}"
         )

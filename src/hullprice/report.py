@@ -21,14 +21,7 @@ from typing import Dict, List, Optional, Sequence
 from .dual_pricing import PriceSet, UpliftReport, price_set, uplifts
 from .errors import PricingError, UnknownFormatError, ValidationError
 from .market_model import MarketInstance, validate_instance
-from .mchp import (
-    DiagnosticsReport,
-    MchpResult,
-    classify_lnmgu,
-    diagnostics,
-    mchp_price_set_limit,
-    mchp_uplifts,
-)
+from .mchp import DiagnosticsReport, MchpResult, diagnostics, mchp_price_set_limit, mchp_uplifts
 from .primal_solver import DispatchSolution, solve_primal
 
 FORMATS = ("json", "csv", "markdown")
@@ -63,18 +56,13 @@ def _stage(name: str, timings: Dict[str, float]):
         timings[name] = (time.perf_counter() - start) * 1000.0
 
 
-def run_pipeline(
-    instance: MarketInstance,
-    epsilon_override: Optional[float] = None,
-    price_representative: str = "lo",
-) -> PricingReport:
+def run_pipeline(instance: MarketInstance, price_representative: str = "lo") -> PricingReport:
     """Validate, dispatch and price one instance.
 
     ``price_representative`` picks the settlement price from each price
-    set (lo, mid or hi).  ``epsilon_override`` is accepted for the capped
-    dual's margin diagnostics; the reported prices always come from the
-    closed-form vanishing-margin set.  Module errors propagate with the
-    failing stage prepended to the message.
+    set (lo, mid or hi).  The capped prices come from the closed-form
+    vanishing-margin set.  Module errors propagate with the failing stage
+    prepended to the message.
     """
     timings: Dict[str, float] = {}
 
@@ -96,8 +84,6 @@ def run_pipeline(
         mchp_set, _ = mchp_price_set_limit(instance)
         p_mchp = mchp_set.representative(price_representative)
         mchp_result = mchp_uplifts(instance, dispatch, p_mchp)
-        if epsilon_override is not None:
-            mchp_result.epsilon_used = classify_lnmgu(instance, epsilon_override).epsilon
 
     with _stage("diagnostics", timings):
         checks = diagnostics(instance, dispatch, chp_report, mchp_result)

@@ -1,5 +1,6 @@
 """Randomized structural properties of the whole pricing stack."""
 
+import json
 import random
 import time
 
@@ -8,6 +9,9 @@ import pytest
 
 from hullprice import (
     diagnostics,
+    parse_instance,
+    run_pipeline,
+    serialize_instance,
     dual_value,
     eps_dual_system,
     mchp_price_set_eps,
@@ -88,6 +92,30 @@ def test_total_uplift_equals_gap_to_rounding():
         ps = price_set(inst.generators, inst.demand)
         rep = uplifts(inst, sol, ps.representative("lo"))
         assert abs(rep.gap - rep.total_uplift) <= 1e-12 * max(1.0, abs(sol.total_cost))
+
+
+def _scale_megawatts(instance, factor):
+    """The same fleet with MW and $ both scaled by factor; prices stay put."""
+    spec = json.loads(serialize_instance(instance))
+    spec["demand"] *= factor
+    for g in spec["generators"]:
+        g["w"] *= factor
+        g["x_max"] *= factor
+        curve = g["curve"]
+        if "quadratic" in curve:
+            curve["quadratic"]["q"] /= factor
+        elif "pwl" in curve:
+            curve["pwl"] = [[right * factor, slope] for right, slope in curve["pwl"]]
+    return parse_instance(json.dumps(spec))
+
+
+def test_fleets_at_megawatt_millions_price_and_pass_checks():
+    """At demand near 5e6 MW one float step of demand is about 1e-9 MW,
+    so the unserved-dispatch bound has to scale with demand."""
+    rng = random.Random(1)
+    for _ in range(400):
+        rep = run_pipeline(_scale_megawatts(oracles.random_instance(rng), 1e6))
+        assert rep.checks.passed
 
 
 def test_supporting_price_exists_iff_gap_is_zero():

@@ -4,13 +4,17 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 
+import hullprice
 from hullprice import (
     DomainError,
     UnknownFormatError,
     cost_eval,
+    default_epsilon,
+    parse_instance,
     load_sweep,
     render_report,
     render_sweep,
@@ -19,7 +23,7 @@ from hullprice import (
 )
 from hullprice.cli import main
 
-from conftest import EX1_JSON, LARGE_MW_FLEET, make_instance
+from conftest import EX1_JSON, EX2_JSON, EX3_JSON, EX4_JSON, EX5_JSON, LARGE_MW_FLEET, make_instance
 
 
 def test_pipeline_example_three(ex3):
@@ -52,6 +56,50 @@ def test_pipeline_marginal_unit_needs_no_uplift():
     assert rep.mchp.total_uplift == pytest.approx(0.0, abs=1e-9)
     assert rep.mchp.case_tag == "no_lnmgu"
     assert rep.checks.passed
+
+
+def _count_calls(monkeypatch, functions):
+    """Count calls to each function under every hullprice name that binds it."""
+    counts = {f.__name__: 0 for f in functions}
+
+    def counting(f):
+        def wrapper(*args, **kwargs):
+            counts[f.__name__] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "hullprice"]
+    for f in functions:
+        wrapper = counting(f)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is f:
+                    monkeypatch.setattr(mod, key, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "spec, max_price_sets",
+    [(EX1_JSON, 4), (EX2_JSON, 4), (EX3_JSON, 6), (EX4_JSON, 6), (EX5_JSON, 4)],
+    ids=["ex1", "ex2", "ex3", "ex4", "ex5"],
+)
+def test_pipeline_reuses_price_sets_and_partition(monkeypatch, spec, max_price_sets):
+    # one hull set each in run_pipeline and uplifts' stale check, the same
+    # pair for the reduced fleet when it can serve demand, and the two
+    # capped sets diagnostics compares
+    counts = _count_calls(
+        monkeypatch,
+        [
+            hullprice.dual_pricing.price_set,
+            hullprice.mchp.classify_lnmgu,
+            hullprice.mchp.mchp_price_set_eps,
+        ],
+    )
+    assert run_pipeline(parse_instance(json.dumps(spec))).checks.passed
+    assert counts["price_set"] <= max_price_sets
+    assert counts["mchp_price_set_eps"] == 1
+    assert counts["classify_lnmgu"] <= 4
 
 
 def test_pipeline_report_invariants(ex1, ex2, ex3, ex4, ex5):
@@ -230,15 +278,15 @@ def test_cli_rep_picks_interval_end(tmp_path, capsys):
     assert payload["chp"]["price_used"] == pytest.approx(2.5, abs=1e-9)
 
 
-def test_cli_epsilon_override(ex1_file, capsys):
-    assert main([ex1_file, "--epsilon", "0.5"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["mchp"]["epsilon_used"] == pytest.approx(0.5, abs=1e-12)
+def test_cli_reports_default_epsilon_and_has_no_override(ex1_file, ex1, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([ex1_file, "--epsilon", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
-    # a margin past the unit's headroom auto-shrinks to half of it
-    assert main([ex1_file, "--epsilon", "5"]) == 0
+    assert main([ex1_file]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["mchp"]["epsilon_used"] == pytest.approx(1.0, abs=1e-12)
+    assert payload["mchp"]["epsilon_used"] == default_epsilon(ex1) == 4e-6
 
 
 def test_cli_sweep(ex1_file, capsys):
