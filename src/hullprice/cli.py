@@ -4,16 +4,14 @@
                         [--rep lo|mid|hi]
 
 The report (or demand sweep) goes to stdout, a diagnostics summary to
-stderr.  Exit codes: 0 all diagnostics pass, 1 a diagnostic failed,
-2 schema or validation problem (or an unusable PRICER_TOL), 3 infeasible
-instance.
+stderr.  Exit codes: 0 all diagnostics pass, 1 a diagnostic failed (or
+pricing itself failed), 2 unreadable file, schema or validation problem,
+3 infeasible instance.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -26,7 +24,6 @@ from .errors import (
 )
 from .market_model import parse_instance
 from .report import load_sweep, render_report, render_sweep, run_pipeline
-from .tolerances import boundary_tol
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -42,17 +39,6 @@ def _parse_sweep(arg: str):
     if not values:
         raise argparse.ArgumentTypeError("sweep grid is empty")
     return values
-
-
-def _bad_tolerance() -> Optional[str]:
-    """Why the PRICER_TOL override is unusable, or None if it is fine."""
-    try:
-        tol = boundary_tol()
-    except ValueError:
-        tol = math.nan
-    if math.isfinite(tol) and tol > 0:
-        return None
-    return f"PRICER_TOL must be a finite positive number, got {os.environ['PRICER_TOL']!r}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,11 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-
-    bad_tol = _bad_tolerance()
-    if bad_tol is not None:
-        print(f"error: {bad_tol}", file=sys.stderr)
-        return EXIT_INVALID
 
     try:
         with open(args.instance, "r", encoding="utf-8") as fh:

@@ -144,15 +144,9 @@ def price_set(
     return PriceSet(lo=lower, hi=max(upper, lower), unbounded_above=False)
 
 
-def dual_value(
-    gens: Sequence[GeneratorSpec],
-    demand: float,
-    p: float,
-    caps: Optional[Sequence[float]] = None,
-) -> float:
+def dual_value(gens: Sequence[GeneratorSpec], demand: float, p: float) -> float:
     """p * demand minus total price-taker profit at p."""
-    caps = _resolve_caps(gens, caps)
-    return p * demand - sum(profit(g, p, cap).value for g, cap in zip(gens, caps))
+    return p * demand - sum(profit(g, p).value for g in gens)
 
 
 def lost_profits(
@@ -172,12 +166,7 @@ def lost_profits(
     return per
 
 
-def uplifts(
-    instance: MarketInstance,
-    dispatch: DispatchSolution,
-    p: float,
-    caps: Optional[Sequence[float]] = None,
-) -> UpliftReport:
+def uplifts(instance: MarketInstance, dispatch: DispatchSolution, p: float) -> UpliftReport:
     """Make-whole payments when the exact schedule settles at price p.
 
     Each generator is paid the difference between its best profit at p and
@@ -186,15 +175,14 @@ def uplifts(
     (or within STALE_PRICE_TOL of) the current price set.
     """
     gens = instance.generators
-    ps = price_set(gens, instance.demand, caps)
+    ps = price_set(gens, instance.demand)
     if not ps.contains(p, tol=STALE_PRICE_TOL):
         raise StalePriceError(
             f"price {p} is outside the clearing set [{ps.lo}, "
             f"{'inf' if ps.unbounded_above else ps.hi}]"
         )
-    caps = _resolve_caps(gens, caps)
-    per = lost_profits(instance, dispatch, p, caps)
-    vd = dual_value(gens, instance.demand, p, caps)
+    per = lost_profits(instance, dispatch, p, [g.x_max for g in gens])
+    vd = dual_value(gens, instance.demand, p)
     return UpliftReport(
         price_used=p,
         per_generator=per,

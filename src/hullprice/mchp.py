@@ -291,12 +291,16 @@ def diagnostics(
             else abs(kept.hi - full.hi) <= _ENDPOINT_TOL
         )
 
-        # the closed-form limit must agree with a small positive margin
+        # the closed-form limit must agree with a small positive margin.
+        # Average cost falls on (d, d + eps) and marginal cost is
+        # nonnegative, so the margin lowers p_bar by at most eps * p_bar / d.
+        p_bar = min(average_total_cost(g, d) for g in gens if g.id in large)
+        gap = part.epsilon * p_bar / d + _ENDPOINT_TOL
         limit = mchp_result.price_set
-        limit_ok = abs(kept.lo - limit.lo) <= 1e-4 and (
+        limit_ok = abs(kept.lo - limit.lo) <= gap and (
             limit.unbounded_above
             or kept.unbounded_above
-            or abs(kept.hi - limit.hi) <= 1e-4
+            or abs(kept.hi - limit.hi) <= gap
         )
 
     # capped prices sit inside the hull price set or strictly above it

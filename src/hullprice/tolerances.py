@@ -1,7 +1,5 @@
 """Numeric tolerances used across the package."""
 
-import os
-
 # Half-width of the band in which a price counts as exactly at a supply
 # threshold.  Two orders of magnitude below the 1e-9 price reporting
 # tolerance (but still well above the 5e-13 bisection bracket width), so
@@ -15,10 +13,11 @@ FEASIBILITY_TOL = 1e-9
 # before it is rejected as stale ($/MWh).
 STALE_PRICE_TOL = 1e-6
 
+# How far outside [0, x_max] an output or cap may fall before cost
+# evaluation refuses it (MW).
+BOUNDARY_TOL = 1e-7
+
 
 def boundary_tol() -> float:
-    """Comparison tolerance for arguments at API boundaries.
-
-    The PRICER_TOL environment variable overrides the default 1e-7.
-    """
-    return float(os.environ.get("PRICER_TOL", "1e-7"))
+    """Comparison tolerance for arguments at API boundaries (MW)."""
+    return BOUNDARY_TOL

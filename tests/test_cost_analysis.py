@@ -65,6 +65,13 @@ def test_cost_eval_domain_errors():
         cost_eval(EX1_GEN, 2, False)  # positive output while off
 
 
+def test_cost_eval_boundary_tolerance_is_fixed():
+    # outputs up to 1e-7 MW past x_max count as x_max
+    assert cost_eval(EX1_GEN, 6 + 5e-8, True) == 18
+    with pytest.raises(DomainError):
+        cost_eval(EX1_GEN, 6 + 1e-6, True)
+
+
 # ------------------------------------------------------- marginal_subdiff
 
 

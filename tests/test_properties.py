@@ -94,18 +94,26 @@ def test_total_uplift_equals_gap_to_rounding():
         assert abs(rep.gap - rep.total_uplift) <= 1e-12 * max(1.0, abs(sol.total_cost))
 
 
-def _scale_megawatts(instance, factor):
-    """The same fleet with MW and $ both scaled by factor; prices stay put."""
+def _scale(instance, mw, money):
+    """The same fleet in other units: MW times mw and $ times money.
+
+    Dispatch then scales by mw, prices by money / mw, costs and uplifts
+    by money.
+    """
+    price = money / mw
     spec = json.loads(serialize_instance(instance))
-    spec["demand"] *= factor
+    spec["demand"] *= mw
     for g in spec["generators"]:
-        g["w"] *= factor
-        g["x_max"] *= factor
+        g["w"] *= money
+        g["x_max"] *= mw
         curve = g["curve"]
-        if "quadratic" in curve:
-            curve["quadratic"]["q"] /= factor
-        elif "pwl" in curve:
-            curve["pwl"] = [[right * factor, slope] for right, slope in curve["pwl"]]
+        if "linear" in curve:
+            curve["linear"] *= price
+        elif "quadratic" in curve:
+            curve["quadratic"]["a"] *= price
+            curve["quadratic"]["q"] = curve["quadratic"]["q"] / mw * price
+        else:
+            curve["pwl"] = [[right * mw, slope * price] for right, slope in curve["pwl"]]
     return parse_instance(json.dumps(spec))
 
 
@@ -114,8 +122,47 @@ def test_fleets_at_megawatt_millions_price_and_pass_checks():
     so the unserved-dispatch bound has to scale with demand."""
     rng = random.Random(1)
     for _ in range(400):
-        rep = run_pipeline(_scale_megawatts(oracles.random_instance(rng), 1e6))
+        rep = run_pipeline(_scale(oracles.random_instance(rng), 1e6, 1e6))
         assert rep.checks.passed
+
+
+SCALINGS = [(mw, money) for mw in (1e-3, 1.0, 1e3) for money in (1e-3, 1.0, 1e4)]
+
+
+@pytest.mark.parametrize("mw, money", SCALINGS)
+def test_every_check_passes_in_any_units(mw, money):
+    """Diagnostic bounds scale with the instance, so no choice of MW and $
+    units makes a check fail."""
+    rng = random.Random(1)
+    failed = []
+    for k in range(100):
+        checks = run_pipeline(_scale(oracles.random_instance(rng), mw, money)).checks
+        if not checks.passed:
+            failed.append((k, checks))
+    assert failed == []
+
+
+def test_generator_order_does_not_change_results():
+    rng = random.Random(806)
+    for _ in range(300):
+        inst = oracles.random_instance(rng)
+        spec = json.loads(serialize_instance(inst))
+        rng.shuffle(spec["generators"])
+        a = run_pipeline(inst)
+        b = run_pipeline(parse_instance(json.dumps(spec)))
+
+        assert b.dispatch.total_cost == pytest.approx(a.dispatch.total_cost, rel=1e-12, abs=1e-12)
+        assert {e.id for e in b.dispatch.schedule if e.on} == {
+            e.id for e in a.dispatch.schedule if e.on
+        }
+        for pa, pb in ((a.chp_price_set, b.chp_price_set), (a.mchp.price_set, b.mchp.price_set)):
+            assert pb.unbounded_above == pa.unbounded_above
+            assert pb.lo == pytest.approx(pa.lo, rel=1e-12, abs=1e-12)
+            assert pb.hi == pytest.approx(pa.hi, rel=1e-12, abs=1e-12)
+        assert b.mchp.case_tag == a.mchp.case_tag
+        for ua, ub in ((a.chp, b.chp), (a.mchp, b.mchp)):
+            assert ub.per_generator == pytest.approx(ua.per_generator, rel=1e-12, abs=1e-12)
+        assert b.checks == a.checks
 
 
 def test_supporting_price_exists_iff_gap_is_zero():

@@ -10,9 +10,7 @@ import pytest
 
 import hullprice
 from hullprice import (
-    DomainError,
     UnknownFormatError,
-    cost_eval,
     default_epsilon,
     parse_instance,
     load_sweep,
@@ -224,15 +222,6 @@ def test_sweep_renderings(ex1):
     assert ", inf)" in md  # ray rows render as a half-open interval
 
 
-def test_boundary_tolerance_env_override(ex1, monkeypatch):
-    g = ex1.generators[0]
-    monkeypatch.setenv("PRICER_TOL", "1e-3")
-    assert cost_eval(g, 6.0005, True) == pytest.approx(18.0, abs=1e-9)
-    monkeypatch.delenv("PRICER_TOL")
-    with pytest.raises(DomainError):
-        cost_eval(g, 6.0005, True)
-
-
 # ------------------------------------------------------------------- CLI
 
 
@@ -348,14 +337,29 @@ def test_cli_large_mw_ray_prices_cleanly(tmp_path, capsys):
     assert all(line.endswith(": ok") for line in checks)
 
 
-@pytest.mark.parametrize("value", ["abc", "", "0", "-1e-7", "nan", "inf"])
-def test_cli_rejects_bad_pricer_tol(ex1_file, capsys, monkeypatch, value):
-    monkeypatch.setenv("PRICER_TOL", value)
-    assert main([ex1_file]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: PRICER_TOL")
-    assert len(err.splitlines()) == 1
+def test_cli_costly_oversized_unit_passes_limit_check(tmp_path, capsys):
+    """At $1e4/MWh the margin moves the capped price by about w*eps/d^2
+    (0.24 here), far above a fixed 1e-4 but within eps * p_bar / d."""
+    spec = {
+        "demand": 0.5,
+        "generators": [{"id": "g1", "w": 120000, "curve": {"pwl": [[1, 10000]]}, "x_max": 1}],
+    }
+    path = tmp_path / "costly.json"
+    path.write_text(json.dumps(spec))
+    assert main([str(path)]) == 0
+    checks = [line for line in capsys.readouterr().err.splitlines() if line.startswith("check ")]
+    assert len(checks) == 5
+    assert all(line.endswith(": ok") for line in checks)
+
+
+def test_cli_ignores_pricer_tol(ex1_file, capsys, monkeypatch):
+    """The boundary tolerance is fixed; the old override variable is inert."""
+    monkeypatch.delenv("PRICER_TOL", raising=False)
+    assert main([ex1_file]) == 0
+    unset = capsys.readouterr()
+    monkeypatch.setenv("PRICER_TOL", "abc")
+    assert main([ex1_file]) == 0
+    assert capsys.readouterr() == unset
 
 
 def test_cli_unreadable_file_exits_2(tmp_path, capsys):
