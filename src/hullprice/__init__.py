@@ -28,7 +28,6 @@ from .dual_pricing import (
 from .errors import (
     DomainError,
     InfeasibleError,
-    NoCrossingError,
     PricingError,
     SchemaError,
     SizeError,
@@ -48,12 +47,10 @@ from .market_model import (
     validate_instance,
 )
 from .mchp import (
-    ContractBounds,
     DiagnosticsReport,
     LnmguPartition,
     MchpResult,
     classify_lnmgu,
-    contract_bounds,
     default_epsilon,
     diagnostics,
     eps_dual_system,
@@ -81,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostCurve",
-    "ContractBounds",
     "DiagnosticsReport",
     "DispatchSolution",
     "DomainError",
@@ -93,7 +89,6 @@ __all__ = [
     "LnmguPartition",
     "MarketInstance",
     "MchpResult",
-    "NoCrossingError",
     "PiecewiseLinear",
     "PriceSet",
     "PricingError",
@@ -111,7 +106,6 @@ __all__ = [
     "aggregate_supply",
     "average_total_cost",
     "classify_lnmgu",
-    "contract_bounds",
     "cost_eval",
     "default_epsilon",
     "diagnostics",

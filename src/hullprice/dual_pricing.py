@@ -19,10 +19,10 @@ from typing import Dict, Optional, Sequence
 
 from ._search import bisect_transition
 from .cost_analysis import Interval, average_total_cost, cost_eval, profit, supply_correspondence
-from .errors import InfeasibleError, NoCrossingError, StalePriceError
-from .market_model import GeneratorSpec, MarketInstance
+from .errors import InfeasibleError, StalePriceError
+from .market_model import CapacityRule, GeneratorSpec, MarketInstance
 from .primal_solver import DispatchSolution
-from .tolerances import FEASIBILITY_TOL, STALE_PRICE_TOL
+from .tolerances import STALE_PRICE_TOL
 
 # bisection stop width for price endpoints ($ / MWh)
 _PRICE_WIDTH = 5e-13
@@ -107,13 +107,21 @@ def _price_upper_bound(gens, caps) -> float:
 def price_set(
     gens: Sequence[GeneratorSpec], demand: float, caps: Optional[Sequence[float]] = None
 ) -> PriceSet:
-    """All prices at which aggregate supply can clear demand."""
-    caps = _resolve_caps(gens, caps)
-    total = sum(caps)
-    if total < demand - FEASIBILITY_TOL:
-        raise InfeasibleError(f"total capacity {total} below demand {demand}")
+    """All prices at which aggregate supply can clear demand.
 
-    slack = 1e-10 * max(1.0, abs(demand))
+    The lower endpoint is the first price at which supply reaches the
+    served amount less the crossing slack of ``CapacityRule``, the upper
+    one the last at which supply does not pass demand plus it.  Every
+    unit runs at its cap at the bisection's upper bound, so supply there
+    is the capacity, which reaches the lower crossing unless the fleet is
+    short and passes the upper one unless the set is a ray.
+    """
+    caps = _resolve_caps(gens, caps)
+    capacity = sum(min(cap, g.x_max) for g, cap in zip(gens, caps))
+    rule = CapacityRule(demand)
+    if rule.short(capacity):
+        raise InfeasibleError(f"total capacity {capacity} below demand {demand}")
+
     p_ub = _price_upper_bound(gens, caps)
 
     def hi_at(p: float) -> float:
@@ -122,24 +130,19 @@ def price_set(
     def lo_at(p: float) -> float:
         return aggregate_supply(gens, p, caps).lo
 
-    if hi_at(p_ub) < demand - slack:
-        raise NoCrossingError(
-            f"supply never reaches demand {demand} below price {p_ub}"
-        )
-    if hi_at(0.0) >= demand - slack:
+    target = rule.served(capacity) - rule.slack
+    if hi_at(0.0) >= target:
         lower = 0.0
     else:
-        _, lower = bisect_transition(
-            0.0, p_ub, lambda p: hi_at(p) >= demand - slack, width=_PRICE_WIDTH
-        )
+        _, lower = bisect_transition(0.0, p_ub, lambda p: hi_at(p) >= target, width=_PRICE_WIDTH)
 
-    if total <= demand + max(FEASIBILITY_TOL, slack):
+    if rule.ray(capacity):
         # at full output the market only just covers demand; every higher
         # price still clears
         return PriceSet(lo=lower, hi=math.inf, unbounded_above=True)
 
     upper, _ = bisect_transition(
-        lower, p_ub, lambda p: lo_at(p) > demand + slack, width=_PRICE_WIDTH
+        lower, p_ub, lambda p: lo_at(p) > demand + rule.slack, width=_PRICE_WIDTH
     )
     return PriceSet(lo=lower, hi=max(upper, lower), unbounded_above=False)
 

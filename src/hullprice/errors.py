@@ -12,8 +12,7 @@ class SchemaError(PricingError):
 class ValidationError(PricingError):
     """An instance violates a model invariant.
 
-    ``violations`` keeps the individual findings so callers can tell an
-    infeasible-but-well-formed instance from a malformed one.
+    ``violations`` keeps the individual findings.
     """
 
     def __init__(self, message, violations=()):
@@ -25,19 +24,15 @@ class DomainError(PricingError):
     """A numeric argument lies outside the operation's domain."""
 
 
-class InfeasibleError(PricingError):
-    """Total capacity cannot cover demand."""
+class InfeasibleError(ValidationError):
+    """Total capacity cannot cover demand.
+
+    Validation raises it when this is an instance's only fault.
+    """
 
 
 class SizeError(PricingError):
     """Too many generators for exhaustive commitment search."""
-
-
-class NoCrossingError(PricingError):
-    """Aggregate supply never reaches demand.
-
-    Defensive: unreachable for instances that pass feasibility checks.
-    """
 
 
 class StalePriceError(PricingError):

@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import SchemaError, ValidationError
-from .tolerances import FEASIBILITY_TOL, boundary_tol
+from .errors import InfeasibleError, SchemaError, ValidationError
+from .tolerances import boundary_tol, demand_tol, supply_slack
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,8 @@ def parse_instance(text: str) -> MarketInstance:
 
     Raises SchemaError for malformed or mistyped input and ValidationError
     (listing every violation) for well-formed input that breaks a model
-    invariant.  Every instance this returns passes validate_instance with
+    invariant; InfeasibleError when capacity short of demand is the only
+    violation.  Every instance this returns passes validate_instance with
     no findings.
     """
     try:
@@ -267,9 +268,13 @@ def parse_instance(text: str) -> MarketInstance:
         )
 
     instance = MarketInstance(demand=demand, generators=tuple(gens))
-    violations = validate_instance(instance)
-    if violations:
-        raise ValidationError("; ".join(violations), violations)
+    found = _findings(instance)
+    if found:
+        messages = [msg for _, _, msg in found]
+        only_infeasible = [rule for _, rule, _ in found] == ["infeasible"]
+        raise (InfeasibleError if only_infeasible else ValidationError)(
+            "; ".join(messages), messages
+        )
     return instance
 
 
@@ -301,12 +306,52 @@ def _curve_violations(g: GeneratorSpec):
         yield ("convexity", f"{g.id}: non-convex curve")
 
 
+class CapacityRule:
+    """Capacity against one demand level, the one place that compares them.
+
+    A fleet whose capacity is ``short`` of demand is infeasible.
+    Otherwise it serves min(demand, capacity) (``served``), and if its
+    capacity is also a ``ray`` every price above its lowest clearing price
+    still clears.  Part of a larger fleet meets that fleet's price-set
+    crossing on its own only when its capacity ``clears`` demand.  For a
+    single unit, ``served`` is its contract cap cmax = min(demand, x_max).
+    ``tol`` bounds feasibility and unserved dispatch, ``slack`` the
+    price-set crossings.  The bands nest whatever their order: ``clears``
+    uses the narrower of the two, so it implies not ``short``, and
+    ``ray`` the wider, so it takes in every feasible capacity up to demand.
+    """
+
+    __slots__ = ("demand", "tol", "slack")
+
+    def __init__(self, demand: float):
+        self.demand = demand
+        self.tol = demand_tol(demand)
+        self.slack = supply_slack(demand)
+
+    def served(self, capacity: float) -> float:
+        return min(self.demand, capacity)
+
+    def short(self, capacity: float) -> bool:
+        return capacity < self.demand - self.tol
+
+    def ray(self, capacity: float) -> bool:
+        return capacity <= self.demand + max(self.tol, self.slack)
+
+    def clears(self, capacity: float) -> bool:
+        return capacity >= self.demand - min(self.tol, self.slack)
+
+
 def validate_instance(instance: MarketInstance):
     """Return all invariant violations, deterministically ordered.
 
     Instance-level findings come first, then per-generator findings sorted
     by (generator id, rule name).  Empty list means the instance is valid.
     """
+    return [msg for _, _, msg in _findings(instance)]
+
+
+def _findings(instance: MarketInstance):
+    """``validate_instance`` as sorted (generator id, rule, message) triples."""
     tol = boundary_tol()
     found = []
 
@@ -326,7 +371,7 @@ def validate_instance(instance: MarketInstance):
 
     if instance.generators and math.isfinite(instance.demand):
         cap = instance.total_capacity
-        if cap + FEASIBILITY_TOL < instance.demand:
+        if CapacityRule(instance.demand).short(cap):
             found.append(
                 ("", "infeasible",
                  f"infeasible: total capacity {cap} below demand {instance.demand}")
@@ -345,7 +390,7 @@ def validate_instance(instance: MarketInstance):
             found.append((g.id, rule, msg))
 
     found.sort(key=lambda item: (item[0], item[1]))
-    return [msg for _, _, msg in found]
+    return found
 
 
 def serialize_instance(instance: MarketInstance) -> str:

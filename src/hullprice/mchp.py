@@ -19,15 +19,15 @@ fleet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .cost_analysis import average_total_cost, ec_min
 from .dual_pricing import PriceSet, UpliftReport, lost_profits, price_set
 from .errors import DomainError, StalePriceError
-from .market_model import GeneratorSpec, MarketInstance
+from .market_model import CapacityRule, GeneratorSpec, MarketInstance
 from .primal_solver import DispatchSolution
-from .tolerances import FEASIBILITY_TOL, STALE_PRICE_TOL
+from .tolerances import STALE_PRICE_TOL
 
 # case tags for the vanishing-margin price set
 CASE_NO_LNMGU = "no_lnmgu"
@@ -36,18 +36,6 @@ CASE_INTERVAL_UPPER_CAPPED = "interval_upper_capped"
 CASE_LNMGU_IRRELEVANT = "lnmgu_irrelevant"
 
 _ENDPOINT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ContractBounds:
-    """Output range each generator could ever be scheduled for.
-
-    cmin = max(demand - sum of the others' capacity, 0) and
-    cmax = min(demand, capacity).  Only cmax matters for pricing; cmin is
-    reported for completeness and never constrains the dual.
-    """
-
-    by_generator: Dict[str, Tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -98,23 +86,7 @@ class DiagnosticsReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.single_large_unit_committed
-            and self.reduction_invariant
-            and self.price_ordering
-            and self.uplift_dominance
-            and self.limit_consistent_with_eps
-        )
-
-
-def contract_bounds(instance: MarketInstance) -> ContractBounds:
-    total = instance.total_capacity
-    d = instance.demand
-    by = {}
-    for g in instance.generators:
-        others = total - g.x_max
-        by[g.id] = (max(d - others, 0.0), min(d, g.x_max))
-    return ContractBounds(by_generator=by)
+        return all(asdict(self).values())
 
 
 def default_epsilon(instance: MarketInstance) -> float:
@@ -133,12 +105,13 @@ def classify_lnmgu(instance: MarketInstance, epsilon: float) -> LnmguPartition:
     if epsilon <= 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     d = instance.demand
+    rule = CapacityRule(d)
     large: List[GeneratorSpec] = []
     regular: List[str] = []
     headroom = math.inf
     for g in instance.generators:
         floor = ec_min(g)
-        if floor > min(d, g.x_max) + FEASIBILITY_TOL:
+        if floor > rule.served(g.x_max) + rule.tol:
             large.append(g)
             headroom = min(headroom, floor - d)
         else:
@@ -194,8 +167,8 @@ def mchp_price_set_limit(instance: MarketInstance) -> Tuple[PriceSet, str]:
     p_bar be the cheapest large unit's average total cost at demand and
     P_red the price set of the regular fleet alone:
 
-    - regular fleet cannot serve demand: the set is {p_bar}, a large unit
-      is marginal;
+    - regular fleet does not clear demand by itself (``CapacityRule``):
+      the set is {p_bar}, a large unit is marginal;
     - P_red lies entirely below p_bar: the large units are priced out and
       the set is P_red;
     - P_red straddles p_bar: the set is P_red truncated above at p_bar;
@@ -214,8 +187,9 @@ def _limit_set(instance: MarketInstance, part: LnmguPartition) -> Tuple[PriceSet
     large = set(part.large)
     p_bar = min(average_total_cost(g, d) for g in gens if g.id in large)
     regulars = [g for g in gens if g.id not in large]
-    regular_cap = sum(g.x_max for g in regulars)
-    if not regulars or regular_cap < d - FEASIBILITY_TOL:
+    # the capped dual prices the regular fleet inside one that serves all
+    # of demand, so it sets the price only if it clears demand by itself
+    if not regulars or not CapacityRule(d).clears(sum(g.x_max for g in regulars)):
         return PriceSet(lo=p_bar, hi=p_bar, unbounded_above=False), CASE_LNMGU_MARGINAL
 
     reduced = price_set(regulars, d)
@@ -246,9 +220,8 @@ def mchp_uplifts(instance: MarketInstance, dispatch: DispatchSolution, p: float)
             f"{'inf' if limit_set.unbounded_above else limit_set.hi}]"
         )
     large = set(part.large)
-    caps = [
-        min(instance.demand, g.x_max) if g.id in large else g.x_max for g in instance.generators
-    ]
+    rule = CapacityRule(instance.demand)
+    caps = [rule.served(g.x_max) if g.id in large else g.x_max for g in instance.generators]
     per = lost_profits(instance, dispatch, p, caps)
     return MchpResult(
         price_set=limit_set,

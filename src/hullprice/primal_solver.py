@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import InfeasibleError, SizeError
-from .market_model import GeneratorSpec, MarketInstance, PiecewiseLinear, Quadratic
-from .tolerances import FEASIBILITY_TOL
+from .market_model import CapacityRule, GeneratorSpec, MarketInstance, PiecewiseLinear, Quadratic
 
 MAX_GENERATORS = 24
 
@@ -59,13 +58,12 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     piecewise linear in lam, bending or jumping only at linear costs, PWL
     slopes and the two ends of each quadratic ramp.  lam is the first of
     these breakpoints whose ceiling covers demand, or the root of the
-    quadratic ramps' linear piece on the interval just before it.
+    quadratic ramps' linear piece on the interval just before it.  Units
+    whose capacity is short of demand leave a residual and raise
+    InfeasibleError.
     """
     caps = [g.x_max for g in gens]
-    if sum(caps) < demand - FEASIBILITY_TOL:
-        raise InfeasibleError(
-            f"committed capacity {sum(caps)} below demand {demand}"
-        )
+    rule = CapacityRule(demand)
 
     def ceiling(lam: float) -> float:
         return sum(min(g.curve.max_out_at(lam), cap) for g, cap in zip(gens, caps))
@@ -85,7 +83,7 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
             prices.add(curve.a)
     breaks = sorted(prices)
 
-    need = min(demand, sum(caps))
+    need = rule.served(sum(caps))
     target = need - 1e-12 * max(1.0, abs(demand))
     # first breakpoint whose ceiling reaches the target; past the last one
     # every unit is at capacity
@@ -138,8 +136,7 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
         if add > 0.0:
             outputs[i] += add
             residual -= add
-    # one float step of a large demand can exceed the absolute tolerance
-    if residual > max(FEASIBILITY_TOL, 1e-14 * demand):
+    if residual > rule.tol:
         raise InfeasibleError(
             f"dispatch left {residual} MW unserved at marginal price {lam}"
         )
@@ -152,16 +149,18 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
     Subsets are searched in (size, id-lexicographic) order and a new
     incumbent must be strictly cheaper, so cost ties resolve to fewer
     committed units, then to the lexicographically first id set.  Subsets
-    whose start-up bill alone meets the incumbent are pruned.
+    whose start-up bill alone meets the incumbent are pruned, and subsets
+    whose capacity is short of demand are skipped.  A fleet short of
+    demand raises InfeasibleError before any subset is tried.
     """
     n = len(instance.generators)
     if n > MAX_GENERATORS:
         raise SizeError(f"{n} generators exceed the exhaustive-search limit {MAX_GENERATORS}")
-    if instance.total_capacity < instance.demand - FEASIBILITY_TOL:
-        raise InfeasibleError(
-            f"total capacity {instance.total_capacity} below demand {instance.demand}"
-        )
 
+    rule = CapacityRule(instance.demand)
+    capacity = instance.total_capacity
+    if rule.short(capacity):
+        raise InfeasibleError(f"total capacity {capacity} below demand {instance.demand}")
     pool = sorted(instance.generators, key=lambda g: g.id)
     best_cost = float("inf")
     best_combo = None
@@ -172,7 +171,7 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
             startup_bill = sum(g.startup_cost for g in combo)
             if startup_bill >= best_cost:
                 continue
-            if sum(g.x_max for g in combo) < instance.demand - FEASIBILITY_TOL:
+            if rule.short(sum(g.x_max for g in combo)):
                 continue
             outputs, lam = economic_dispatch(combo, instance.demand)
             cost = startup_bill + sum(

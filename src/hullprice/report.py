@@ -15,7 +15,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from .dual_pricing import PriceSet, UpliftReport, price_set, uplifts
@@ -149,14 +149,7 @@ def report_dict(report: PricingReport) -> dict:
             "total_uplift": _sig(report.mchp.total_uplift),
             "uplifts": {gid: _sig(v) for gid, v in report.mchp.per_generator.items()},
         },
-        "checks": {
-            "single_large_unit_committed": report.checks.single_large_unit_committed,
-            "reduction_invariant": report.checks.reduction_invariant,
-            "price_ordering": report.checks.price_ordering,
-            "uplift_dominance": report.checks.uplift_dominance,
-            "limit_consistent_with_eps": report.checks.limit_consistent_with_eps,
-            "passed": report.checks.passed,
-        },
+        "checks": {**asdict(report.checks), "passed": report.checks.passed},
     }
 
 

@@ -6,7 +6,7 @@
 # bisected price-set endpoints stay far inside that tolerance.
 PRICE_EQ_TOL = 1e-11
 
-# Slack for demand-vs-capacity feasibility comparisons (MW).
+# Slack for comparing MW with demand (MW); see demand_tol.
 FEASIBILITY_TOL = 1e-9
 
 # How far a settlement price may drift outside the computed price set
@@ -21,3 +21,20 @@ BOUNDARY_TOL = 1e-7
 def boundary_tol() -> float:
     """Comparison tolerance for arguments at API boundaries (MW)."""
     return BOUNDARY_TOL
+
+
+def demand_tol(demand: float) -> float:
+    """Slack for comparing MW with demand.
+
+    FEASIBILITY_TOL, widened to one part in 1e14 of demand above 1e5 MW,
+    where one float step of demand exceeds it.
+    """
+    return max(FEASIBILITY_TOL, 1e-14 * demand)
+
+
+def supply_slack(demand: float) -> float:
+    """How far supply may miss demand at a price-set crossing (MW).
+
+    One part in 1e10 of demand, and 1e-10 MW below 1 MW.
+    """
+    return 1e-10 * max(1.0, demand)

@@ -8,7 +8,6 @@ from hullprice import (
     DomainError,
     StalePriceError,
     classify_lnmgu,
-    contract_bounds,
     default_epsilon,
     diagnostics,
     ec_min,
@@ -22,34 +21,6 @@ from hullprice import (
 
 import oracles
 from conftest import make_instance
-
-
-def test_contract_bounds_single_unit(ex1):
-    b = contract_bounds(ex1).by_generator
-    assert b["g"] == (4.0, 4.0)
-
-
-def test_contract_bounds_two_units(ex3, ex5):
-    b = contract_bounds(ex3).by_generator
-    assert b["g1"] == (0.0, 4.0)
-    assert b["g2"] == (0.0, 4.0)
-
-    b = contract_bounds(ex5).by_generator
-    assert b["g1"] == (2.0, 4.0)  # the small unit cannot cover demand alone
-    assert b["g2"] == (0.0, 2.0)
-
-
-def test_contract_bounds_caps_at_demand():
-    inst = make_instance(
-        3,
-        [
-            {"id": "a", "w": 0, "curve": {"linear": 1}, "x_max": 3},
-            {"id": "b", "w": 0, "curve": {"linear": 2}, "x_max": 3},
-        ],
-    )
-    b = contract_bounds(inst).by_generator
-    assert b["a"] == (0.0, 3.0)
-    assert b["b"] == (0.0, 3.0)
 
 
 def test_classify_example_two(ex2):

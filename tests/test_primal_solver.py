@@ -225,6 +225,12 @@ def test_solve_infeasible_instance():
         solve_primal(inst)
 
 
+def test_solve_infeasible_fleet_fails_before_the_subset_search():
+    gens = tuple(GeneratorSpec(f"g{i:02d}", 1.0, Linear(1.0, 1.0), 1.0) for i in range(12))
+    with pytest.raises(InfeasibleError, match="total capacity 12.0 below demand 13.0"):
+        solve_primal(MarketInstance(demand=13.0, generators=gens))
+
+
 def test_solution_shape_invariants():
     rng = random.Random(502)
     for _ in range(100):
