@@ -5,23 +5,24 @@
 
 The report (or demand sweep) goes to stdout, a diagnostics summary to
 stderr.  The exit code follows the exception type: 0 all diagnostics
-pass, 1 a diagnostic or a sweep level failed (or the fleet exceeds the
-enumeration limit), 2 unreadable file, schema or validation problem, 3
-infeasible instance, whose only fault is total capacity short of demand
-by more than the tolerance of ``market_model.CapacityRule``.
+pass, 1 a diagnostic or a sweep level failed, 2 unreadable file, schema
+or validation problem, 3 infeasible instance, whose only fault is total
+capacity short of demand by more than the tolerance of
+``market_model.CapacityRule``, 4 a fleet larger than the exhaustive
+commitment search takes (``primal_solver.MAX_GENERATORS``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .errors import (
     InfeasibleError,
     PricingError,
     SchemaError,
+    SizeError,
     UnknownFormatError,
     ValidationError,
 )
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
+EXIT_TOO_LARGE = 4
 
 
 def _parse_sweep(arg: str):
@@ -103,13 +105,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SchemaError, ValidationError, UnknownFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except SizeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except PricingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
     sys.stdout.write(render_report(report, args.format))
 
-    for name, ok in asdict(report.checks).items():
+    for name, ok in report.checks._asdict().items():
         print(f"check {name}: {'ok' if ok else 'FAILED'}", file=sys.stderr)
     return EXIT_OK if report.checks.passed else EXIT_CHECK_FAILED
 

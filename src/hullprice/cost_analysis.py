@@ -11,11 +11,8 @@ The start-up jump makes this nonconvex, so the supply response below the
 envelope's tangent point is all-or-nothing.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError
 from .market_model import GeneratorSpec, Linear, PiecewiseLinear, Quadratic
@@ -25,23 +22,26 @@ from .tolerances import PRICE_EQ_TOL, boundary_tol
 _PROFIT_TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi]; degenerate when lo == hi."""
-
+class _Endpoints(NamedTuple):
     lo: float
     hi: float
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+
+class Interval(_Endpoints):
+    """Closed interval [lo, hi]; degenerate when lo == hi."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: float, hi: float):
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+        return tuple.__new__(cls, (lo, hi))
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol
 
 
-@dataclass(frozen=True)
-class HulledCurve:
+class HulledCurve(NamedTuple):
     """Convex envelope of the jumpy total cost on [0, cap].
 
     A chord of slope ``threshold`` runs from the origin to ``knee``; past
@@ -63,8 +63,7 @@ class HulledCurve:
         return self.startup_cost + self.curve.value(x)
 
 
-@dataclass(frozen=True)
-class ProfitResult:
+class ProfitResult(NamedTuple):
     """Optimal profit of a price taker and where it is attained.
 
     The argmax is {0} when staying off is strictly best, an interval of

@@ -11,11 +11,8 @@ gap to the exact dispatch cost equals the total uplift paid when
 settling at p, generator by generator.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, NamedTuple, Optional, Sequence
 
 from ._search import bisect_transition
 from .cost_analysis import Interval, average_total_cost, cost_eval, profit, supply_correspondence
@@ -28,8 +25,7 @@ from .tolerances import STALE_PRICE_TOL
 _PRICE_WIDTH = 5e-13
 
 
-@dataclass(frozen=True)
-class PriceSet:
+class PriceSet(NamedTuple):
     """Closed interval of market-clearing prices.
 
     ``unbounded_above`` marks the ray case (capacity exactly equals
@@ -63,8 +59,7 @@ class PriceSet:
         return self.hi
 
 
-@dataclass
-class UpliftReport:
+class UpliftReport(NamedTuple):
     """Settlement at one price: per-generator make-whole payments.
 
     ``price_set`` is the clearing set the price was checked against.

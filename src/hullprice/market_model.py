@@ -21,19 +21,15 @@ PWL pairs are (segment right endpoint, slope), contiguous from 0; the last
 endpoint must equal x_max.
 """
 
-from __future__ import annotations
-
 import json
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import InfeasibleError, SchemaError, ValidationError
 from .tolerances import boundary_tol, demand_tol, supply_slack
 
 
-@dataclass(frozen=True)
-class Linear:
+class Linear(NamedTuple):
     """c(x) = a * x on [0, domain_max]."""
 
     a: float
@@ -60,8 +56,7 @@ class Linear:
         return {"linear": self.a}
 
 
-@dataclass(frozen=True)
-class Quadratic:
+class Quadratic(NamedTuple):
     """c(x) = a*x + (q/2)*x^2 on [0, domain_max]; marginal cost a + q*x."""
 
     a: float
@@ -91,8 +86,7 @@ class Quadratic:
         return {"quadratic": {"a": self.a, "q": self.q}}
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(NamedTuple):
     """Contiguous linear segments from 0: ((right endpoint, slope), ...).
 
     Segment k covers (x_{k-1}, x_k] with constant slope s_k; valid curves
@@ -153,8 +147,7 @@ class PiecewiseLinear:
 CostCurve = Union[Linear, Quadratic, PiecewiseLinear]
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """One generator: id, start-up cost w, variable-cost curve, capacity."""
 
     id: str
@@ -163,8 +156,7 @@ class GeneratorSpec:
     x_max: float
 
 
-@dataclass(frozen=True)
-class MarketInstance:
+class MarketInstance(NamedTuple):
     demand: float
     generators: tuple
 

@@ -16,11 +16,8 @@ average total cost at demand and the clearing prices of the remaining
 fleet.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cost_analysis import average_total_cost, ec_min
 from .dual_pricing import PriceSet, UpliftReport, lost_profits, price_set
@@ -38,8 +35,7 @@ CASE_LNMGU_IRRELEVANT = "lnmgu_irrelevant"
 _ENDPOINT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class LnmguPartition:
+class LnmguPartition(NamedTuple):
     """Split of the fleet around demand scale at margin epsilon.
 
     ``large`` holds ids whose minimal economic output exceeds their
@@ -56,8 +52,7 @@ class LnmguPartition:
     epsilon: float
 
 
-@dataclass
-class MchpResult:
+class MchpResult(NamedTuple):
     """Vanishing-margin capped-dual prices and their settlement.
 
     ``partition`` is the fleet split the settlement capped its units by.
@@ -74,8 +69,7 @@ class MchpResult:
         return self.partition.epsilon
 
 
-@dataclass
-class DiagnosticsReport:
+class DiagnosticsReport(NamedTuple):
     """Structural checks tying exact dispatch, hull prices and capped prices."""
 
     single_large_unit_committed: bool
@@ -86,7 +80,7 @@ class DiagnosticsReport:
 
     @property
     def passed(self) -> bool:
-        return all(asdict(self).values())
+        return all(self)
 
 
 def default_epsilon(instance: MarketInstance) -> float:

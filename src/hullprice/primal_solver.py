@@ -8,12 +8,9 @@ demand is spread over units indifferent at that price.  Start-up
 costs are added per committed unit after dispatch.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import InfeasibleError, SizeError
 from .market_model import CapacityRule, GeneratorSpec, MarketInstance, PiecewiseLinear, Quadratic
@@ -21,15 +18,13 @@ from .market_model import CapacityRule, GeneratorSpec, MarketInstance, Piecewise
 MAX_GENERATORS = 24
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
+class ScheduleEntry(NamedTuple):
     id: str
     on: bool
     output: float
 
 
-@dataclass(frozen=True)
-class DispatchSolution:
+class DispatchSolution(NamedTuple):
     """Optimal commitment and dispatch for one instance.
 
     ``schedule`` holds one entry per generator, in instance order.

@@ -2,21 +2,17 @@
 
 run_pipeline chains validation, exact dispatch, hull pricing, capped
 pricing and diagnostics into one report object.  render_report turns it
-into canonical JSON (sorted keys, 12 significant digits, timings left
-out so reruns are byte-identical), a per-generator CSV, or a markdown
-comparison table.  load_sweep reprices the same fleet over a demand grid.
+into canonical JSON (sorted keys, 12 significant digits, so reruns are
+byte-identical), a per-generator CSV, or a markdown comparison table.
+load_sweep reprices the same fleet over a demand grid.
 """
-
-from __future__ import annotations
 
 import csv
 import io
 import json
 import math
-import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .dual_pricing import PriceSet, UpliftReport, price_set, uplifts
 from .errors import PricingError, UnknownFormatError, ValidationError
@@ -27,8 +23,7 @@ from .primal_solver import DispatchSolution, solve_primal
 FORMATS = ("json", "csv", "markdown")
 
 
-@dataclass
-class PricingReport:
+class PricingReport(NamedTuple):
     """Everything one pricing run produces."""
 
     demand: float
@@ -39,12 +34,10 @@ class PricingReport:
     mchp: MchpResult
     checks: DiagnosticsReport
     price_representative: str
-    timings_ms: Dict[str, float]
 
 
 @contextmanager
-def _stage(name: str, timings: Dict[str, float]):
-    start = time.perf_counter()
+def _stage(name: str):
     try:
         yield
     except PricingError as exc:
@@ -52,8 +45,6 @@ def _stage(name: str, timings: Dict[str, float]):
         if hasattr(exc, "violations"):
             wrapped.violations = exc.violations
         raise wrapped from exc
-    finally:
-        timings[name] = (time.perf_counter() - start) * 1000.0
 
 
 def run_pipeline(instance: MarketInstance, price_representative: str = "lo") -> PricingReport:
@@ -64,28 +55,26 @@ def run_pipeline(instance: MarketInstance, price_representative: str = "lo") -> 
     vanishing-margin set.  Module errors propagate with the failing stage
     prepended to the message.
     """
-    timings: Dict[str, float] = {}
-
-    with _stage("validate", timings):
+    with _stage("validate"):
         violations = validate_instance(instance)
         if violations:
             raise ValidationError("; ".join(violations), violations)
 
-    with _stage("dispatch", timings):
+    with _stage("dispatch"):
         dispatch = solve_primal(instance)
 
-    with _stage("hull_pricing", timings):
+    with _stage("hull_pricing"):
         gens = list(instance.generators)
         chp_set = price_set(gens, instance.demand)
         p_chp = chp_set.representative(price_representative)
         chp_report = uplifts(instance, dispatch, p_chp)
 
-    with _stage("capped_pricing", timings):
+    with _stage("capped_pricing"):
         mchp_set, _ = mchp_price_set_limit(instance)
         p_mchp = mchp_set.representative(price_representative)
         mchp_result = mchp_uplifts(instance, dispatch, p_mchp)
 
-    with _stage("diagnostics", timings):
+    with _stage("diagnostics"):
         checks = diagnostics(instance, dispatch, chp_report, mchp_result)
 
     return PricingReport(
@@ -97,7 +86,6 @@ def run_pipeline(instance: MarketInstance, price_representative: str = "lo") -> 
         mchp=mchp_result,
         checks=checks,
         price_representative=price_representative,
-        timings_ms=timings,
     )
 
 
@@ -121,7 +109,7 @@ def _price_set_dict(ps: PriceSet) -> dict:
 
 
 def report_dict(report: PricingReport) -> dict:
-    """Canonical dict form of a report (no timings)."""
+    """Canonical dict form of a report."""
     return {
         "demand": _sig(report.demand),
         "price_representative": report.price_representative,
@@ -149,7 +137,7 @@ def report_dict(report: PricingReport) -> dict:
             "total_uplift": _sig(report.mchp.total_uplift),
             "uplifts": {gid: _sig(v) for gid, v in report.mchp.per_generator.items()},
         },
-        "checks": {**asdict(report.checks), "passed": report.checks.passed},
+        "checks": {**report.checks._asdict(), "passed": report.checks.passed},
     }
 
 
@@ -227,8 +215,7 @@ def render_report(report: PricingReport, fmt: str = "json") -> str:
     raise UnknownFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     demand: float
     chp: Optional[PriceSet]
     mchp: Optional[PriceSet]
@@ -244,7 +231,7 @@ def load_sweep(instance: MarketInstance, demands: Sequence[float]) -> List[Sweep
     """
     rows = []
     for d in demands:
-        candidate = replace(instance, demand=float(d))
+        candidate = instance._replace(demand=float(d))
         violations = validate_instance(candidate)
         if violations:
             rows.append(SweepRow(float(d), None, None, None, "; ".join(violations)))

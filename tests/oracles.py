@@ -1,7 +1,7 @@
 """Slow independent oracles: output grids, DP enumeration, bisection.
 
 Nothing here reuses the package's pricing logic.  Curve values and slopes
-are recomputed from the dataclass fields, hulls come from a geometric
+are recomputed from the record fields, hulls come from a geometric
 lower-hull sweep, dispatch from dynamic programming over an output grid
 or from bisection on the marginal price, and price/output searches from
 plain predicate bisection.  Agreement with the package is therefore a

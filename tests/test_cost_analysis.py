@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hullprice import (
     DomainError,
     GeneratorSpec,
+    Interval,
     Linear,
     PiecewiseLinear,
     Quadratic,
@@ -45,6 +46,14 @@ def pwl_gen(w, segments, gid="g"):
 EX1_GEN = lin_gen(12, 1, 6)
 EX2_G2 = quad_gen(16, 0, 1, 8)
 EX2_G3 = lin_gen(22.4, 0, 8)
+
+
+def test_interval_rejects_endpoints_out_of_order():
+    with pytest.raises(ValueError, match="out of order"):
+        Interval(2.0, 1.0)
+    with pytest.raises(ValueError, match="out of order"):
+        Interval(lo=2.0, hi=1.0)
+    assert Interval(1.0, 1.0) == (1.0, 1.0)
 
 
 # ------------------------------------------------------------- cost_eval

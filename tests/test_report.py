@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import math
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +326,21 @@ def test_cli_infeasible_exits_3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_cli_fleet_beyond_the_search_limit_exits_4(tmp_path, capsys):
+    spec = {
+        "demand": 10,
+        "generators": [
+            {"id": f"g{k:02d}", "w": 0, "curve": {"linear": 1}, "x_max": 1} for k in range(25)
+        ],
+    }
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(spec))
+    assert main([str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "[dispatch] 25 generators exceed the exhaustive-search limit 24" in err
+
+
 def test_cli_large_mw_ray_prices_cleanly(tmp_path, capsys):
     path = tmp_path / "large.json"
     path.write_text(json.dumps({"demand": 12000, "generators": LARGE_MW_FLEET}))
@@ -371,3 +388,30 @@ def test_cli_rejects_unknown_format(ex1_file):
     with pytest.raises(SystemExit) as exc:
         main([ex1_file, "--format", "yaml"])
     assert exc.value.code == 2
+
+
+def test_records_are_immutable(ex1):
+    rep = run_pipeline(ex1)
+    for record, field in (
+        (rep.chp_price_set, "lo"),
+        (ex1, "demand"),
+        (rep.chp, "total_uplift"),
+        (rep.checks, "price_ordering"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+    assert rep.chp_price_set._replace(lo=0.0).lo == 0.0
+    assert rep.chp_price_set.lo != 0.0
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Records are named tuples, so importing the package needs neither module."""
+    src = str(Path(hullprice.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import hullprice.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    # -S keeps site hooks from importing modules the package does not
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
