@@ -6,14 +6,11 @@ the hull.
 """
 
 from .cost_analysis import (
-    HulledCurve,
     Interval,
-    ProfitResult,
     average_total_cost,
     cost_eval,
     ec_min,
     hull_cost,
-    marginal_subdiff,
     profit,
     supply_correspondence,
 )
@@ -43,7 +40,6 @@ from .market_model import (
     PiecewiseLinear,
     Quadratic,
     parse_instance,
-    serialize_instance,
     validate_instance,
 )
 from .mchp import (
@@ -53,7 +49,6 @@ from .mchp import (
     classify_lnmgu,
     default_epsilon,
     diagnostics,
-    eps_dual_system,
     mchp_price_set_eps,
     mchp_price_set_limit,
     mchp_uplifts,
@@ -82,7 +77,6 @@ __all__ = [
     "DispatchSolution",
     "DomainError",
     "GeneratorSpec",
-    "HulledCurve",
     "InfeasibleError",
     "Interval",
     "Linear",
@@ -93,7 +87,6 @@ __all__ = [
     "PriceSet",
     "PricingError",
     "PricingReport",
-    "ProfitResult",
     "Quadratic",
     "ScheduleEntry",
     "SchemaError",
@@ -112,10 +105,8 @@ __all__ = [
     "dual_value",
     "ec_min",
     "economic_dispatch",
-    "eps_dual_system",
     "hull_cost",
     "load_sweep",
-    "marginal_subdiff",
     "mchp_price_set_eps",
     "mchp_price_set_limit",
     "mchp_uplifts",
@@ -126,7 +117,6 @@ __all__ = [
     "render_sweep",
     "report_dict",
     "run_pipeline",
-    "serialize_instance",
     "solve_primal",
     "supply_correspondence",
     "uplifts",

@@ -4,10 +4,11 @@
                         [--rep lo|mid|hi]
 
 The report (or demand sweep) goes to stdout, a diagnostics summary to
-stderr.  The exit code follows the exception type: 0 all diagnostics
-pass, 1 a diagnostic or a sweep level failed, 2 unreadable file, schema
-or validation problem, 3 infeasible instance, whose only fault is total
-capacity short of demand by more than the tolerance of
+stderr.  A sweep prices the file's fleet at each grid level and ignores
+the file's demand.  The exit code follows the exception type: 0 all
+diagnostics pass, 1 a diagnostic or a sweep level failed, 2 unreadable
+file, schema or validation problem, 3 infeasible instance, whose only
+fault is total capacity short of demand by more than the tolerance of
 ``market_model.CapacityRule``, 4 a fleet larger than the exhaustive
 commitment search takes (``primal_solver.MAX_GENERATORS``).
 """
@@ -26,7 +27,7 @@ from .errors import (
     UnknownFormatError,
     ValidationError,
 )
-from .market_model import parse_instance
+from .market_model import read_instance
 from .report import load_sweep, render_report, render_sweep, run_pipeline
 
 EXIT_OK = 0
@@ -86,7 +87,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INVALID
 
     try:
-        instance = parse_instance(text)
+        instance = read_instance(text)
         if args.sweep is not None:
             rows = load_sweep(instance, args.sweep)
             sys.stdout.write(render_sweep(rows, args.format))

@@ -1,10 +1,10 @@
 """Per-generator cost analysis.
 
 Everything a single generator contributes to pricing lives here: total
-cost with the start-up jump, marginal-cost ranges, the minimal output at
-which average total cost stops falling, the convex envelope of the jumpy
-cost function, and the price-taking profit and supply responses derived
-from that envelope.
+cost with the start-up jump, average total cost, the minimal output at
+which it stops falling, the break-even threshold and knee of the convex
+envelope of the jumpy cost function, and the price-taking profit and
+supply responses derived from that envelope.
 
 The total cost of a unit producing x > 0 is w + c(x); at x = 0 it is 0.
 The start-up jump makes this nonconvex, so the supply response below the
@@ -15,11 +15,8 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import DomainError
-from .market_model import GeneratorSpec, Linear, PiecewiseLinear, Quadratic
+from .market_model import GeneratorSpec, Linear, Quadratic
 from .tolerances import PRICE_EQ_TOL, boundary_tol
-
-# money-scale tie tolerance for profit sign decisions
-_PROFIT_TIE_TOL = 1e-9
 
 
 class _Endpoints(NamedTuple):
@@ -37,12 +34,9 @@ class Interval(_Endpoints):
             raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
         return tuple.__new__(cls, (lo, hi))
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
 
-
-class HulledCurve(NamedTuple):
-    """Convex envelope of the jumpy total cost on [0, cap].
+class Hull(NamedTuple):
+    """Where the convex envelope of the jumpy total cost leaves its chord.
 
     A chord of slope ``threshold`` runs from the origin to ``knee``; past
     the knee the envelope rejoins w + c(x).  A generator with no start-up
@@ -51,28 +45,6 @@ class HulledCurve(NamedTuple):
 
     threshold: float
     knee: float
-    cap: float
-    startup_cost: float
-    curve: object
-
-    def value(self, x: float) -> float:
-        if x < 0 or x > self.cap + boundary_tol():
-            raise DomainError(f"x={x} outside [0, {self.cap}]")
-        if x <= self.knee:
-            return self.threshold * x
-        return self.startup_cost + self.curve.value(x)
-
-
-class ProfitResult(NamedTuple):
-    """Optimal profit of a price taker and where it is attained.
-
-    The argmax is {0} when staying off is strictly best, an interval of
-    on-outputs when producing is strictly best, or both at a tie.
-    """
-
-    value: float
-    off_optimal: bool
-    on_outputs: Optional[Interval]
 
 
 def cost_eval(gen: GeneratorSpec, x: float, on: bool) -> float:
@@ -85,26 +57,6 @@ def cost_eval(gen: GeneratorSpec, x: float, on: bool) -> float:
     if not on:
         return 0.0
     return gen.startup_cost + gen.curve.value(min(max(x, 0.0), gen.x_max))
-
-
-def marginal_subdiff(gen: GeneratorSpec, x: float) -> Interval:
-    """Range of marginal costs of the variable-cost curve at x.
-
-    A one-sided slope stands in at the boundaries, so the result is a
-    single point there and at any smooth interior point; at a kink it is
-    the [left slope, right slope] interval.
-    """
-    tol = boundary_tol()
-    if x < -tol or x > gen.x_max + tol:
-        raise DomainError(f"{gen.id}: x={x} outside [0, {gen.x_max}]")
-    x = min(max(x, 0.0), gen.x_max)
-    if x == 0.0:
-        s = gen.curve.slope_right(0.0)
-        return Interval(s, s)
-    if x == gen.x_max:
-        s = gen.curve.slope_left(gen.x_max)
-        return Interval(s, s)
-    return Interval(gen.curve.slope_left(x), gen.curve.slope_right(x))
 
 
 def average_total_cost(gen: GeneratorSpec, x: float) -> float:
@@ -162,8 +114,8 @@ def ec_min(gen: GeneratorSpec, cap: Optional[float] = None) -> float:
     return cap
 
 
-def hull_cost(gen: GeneratorSpec, cap: Optional[float] = None) -> HulledCurve:
-    """Convex envelope of the total cost on [0, cap].
+def hull_cost(gen: GeneratorSpec, cap: Optional[float] = None) -> Hull:
+    """Break-even threshold and knee of the convex envelope on [0, cap].
 
     The chord from the origin is tangent at the (possibly capped) minimal
     economic output; its slope is the lowest average total cost, the price
@@ -172,42 +124,18 @@ def hull_cost(gen: GeneratorSpec, cap: Optional[float] = None) -> HulledCurve:
     cap = _resolve_cap(gen, cap)
     knee = ec_min(gen, cap)
     if knee > 0.0:
-        threshold = (gen.startup_cost + gen.curve.value(knee)) / knee
-    else:
-        threshold = gen.curve.slope_right(0.0)
-    return HulledCurve(
-        threshold=threshold,
-        knee=knee,
-        cap=cap,
-        startup_cost=gen.startup_cost,
-        curve=gen.curve,
-    )
+        return Hull((gen.startup_cost + gen.curve.value(knee)) / knee, knee)
+    return Hull(gen.curve.slope_right(0.0), knee)
 
 
-def _on_argmax(gen: GeneratorSpec, p: float, cap: float) -> Interval:
-    """Argmax of p*x - c(x) over [0, cap] (start-up cost not included)."""
-    lo = min(gen.curve.min_out_at(p), cap)
-    hi = min(gen.curve.max_out_at(p), cap)
-    return Interval(lo, hi)
-
-
-def profit(gen: GeneratorSpec, p: float, cap: Optional[float] = None) -> ProfitResult:
+def profit(gen: GeneratorSpec, p: float, cap: Optional[float] = None) -> float:
     """Best profit of a price taker at price p, output limited to cap.
 
     Maximizes p*x - w - c(x) against the off option worth 0.
     """
     cap = _resolve_cap(gen, cap)
-    on = _on_argmax(gen, p, cap)
-    gross = p * on.hi - gen.curve.value(on.hi)
-    net = gross - gen.startup_cost
-    if net > _PROFIT_TIE_TOL:
-        return ProfitResult(value=net, off_optimal=False, on_outputs=on)
-    if net < -_PROFIT_TIE_TOL:
-        return ProfitResult(value=0.0, off_optimal=True, on_outputs=None)
-    # tie between off and running; for w = 0 the tie is real only if the
-    # on-argmax reaches down to 0
-    off = gen.startup_cost > 0.0 or on.lo <= _PROFIT_TIE_TOL
-    return ProfitResult(value=max(0.0, net), off_optimal=off, on_outputs=on)
+    x = min(gen.curve.max_out_at(p), cap)
+    return max(0.0, p * x - gen.curve.value(x) - gen.startup_cost)
 
 
 def supply_correspondence(gen: GeneratorSpec, p: float, cap: Optional[float] = None) -> Interval:
@@ -222,9 +150,8 @@ def supply_correspondence(gen: GeneratorSpec, p: float, cap: Optional[float] = N
     hull = hull_cost(gen, cap)
     if p < hull.threshold - PRICE_EQ_TOL:
         return Interval(0.0, 0.0)
-    on = _on_argmax(gen, p, cap)
-    t_lo = min(max(on.lo, hull.knee), cap)
-    t_hi = min(max(on.hi, hull.knee), cap)
+    t_lo = min(max(gen.curve.min_out_at(p), hull.knee), cap)
+    t_hi = min(max(gen.curve.max_out_at(p), hull.knee), cap)
     if p <= hull.threshold + PRICE_EQ_TOL:
         return Interval(0.0, t_hi)
     return Interval(t_lo, t_hi)

@@ -144,7 +144,7 @@ def price_set(
 
 def dual_value(gens: Sequence[GeneratorSpec], demand: float, p: float) -> float:
     """p * demand minus total price-taker profit at p."""
-    return p * demand - sum(profit(g, p).value for g in gens)
+    return p * demand - sum(profit(g, p) for g in gens)
 
 
 def lost_profits(
@@ -160,7 +160,7 @@ def lost_profits(
     per = {}
     for g, entry, cap in zip(instance.generators, dispatch.schedule, caps, strict=True):
         actual = p * entry.output - cost_eval(g, entry.output, entry.on)
-        per[g.id] = profit(g, p, cap).value - actual
+        per[g.id] = profit(g, p, cap) - actual
     return per
 
 

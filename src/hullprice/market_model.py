@@ -52,9 +52,6 @@ class Linear(NamedTuple):
         # smallest x with right marginal cost >= lam
         return 0.0 if self.a >= lam else self.domain_max
 
-    def json_form(self):
-        return {"linear": self.a}
-
 
 class Quadratic(NamedTuple):
     """c(x) = a*x + (q/2)*x^2 on [0, domain_max]; marginal cost a + q*x."""
@@ -81,9 +78,6 @@ class Quadratic(NamedTuple):
         if self.q == 0.0:
             return 0.0 if self.a >= lam else self.domain_max
         return min(max((lam - self.a) / self.q, 0.0), self.domain_max)
-
-    def json_form(self):
-        return {"quadratic": {"a": self.a, "q": self.q}}
 
 
 class PiecewiseLinear(NamedTuple):
@@ -140,9 +134,6 @@ class PiecewiseLinear(NamedTuple):
             left = right
         return self.domain_max
 
-    def json_form(self):
-        return {"pwl": [[right, slope] for right, slope in self.segments]}
-
 
 CostCurve = Union[Linear, Quadratic, PiecewiseLinear]
 
@@ -163,12 +154,6 @@ class MarketInstance(NamedTuple):
     @property
     def total_capacity(self) -> float:
         return sum(g.x_max for g in self.generators)
-
-    def generator(self, gid: str) -> GeneratorSpec:
-        for g in self.generators:
-            if g.id == gid:
-                return g
-        raise KeyError(gid)
 
 
 def _require_number(value, where: str) -> float:
@@ -215,11 +200,20 @@ def _curve_from_json(obj, gid: str, x_max: float) -> CostCurve:
 def parse_instance(text: str) -> MarketInstance:
     """Parse and validate an instance from JSON text.
 
-    Raises SchemaError for malformed or mistyped input and ValidationError
-    (listing every violation) for well-formed input that breaks a model
-    invariant; InfeasibleError when capacity short of demand is the only
-    violation.  Every instance this returns passes validate_instance with
-    no findings.
+    Raises SchemaError for malformed or mistyped input, and otherwise what
+    check_instance raises.  Every instance this returns passes
+    validate_instance with no findings.
+    """
+    instance = read_instance(text)
+    check_instance(instance)
+    return instance
+
+
+def read_instance(text: str) -> MarketInstance:
+    """Parse an instance from JSON text, checking the schema only.
+
+    Raises SchemaError for malformed or mistyped input; the model
+    invariants are left to check_instance.
     """
     try:
         raw = json.loads(text, parse_constant=_reject_constant)
@@ -259,15 +253,7 @@ def parse_instance(text: str) -> MarketInstance:
             )
         )
 
-    instance = MarketInstance(demand=demand, generators=tuple(gens))
-    found = _findings(instance)
-    if found:
-        messages = [msg for _, _, msg in found]
-        only_infeasible = [rule for _, rule, _ in found] == ["infeasible"]
-        raise (InfeasibleError if only_infeasible else ValidationError)(
-            "; ".join(messages), messages
-        )
-    return instance
+    return MarketInstance(demand=demand, generators=tuple(gens))
 
 
 def _curve_violations(g: GeneratorSpec):
@@ -342,34 +328,73 @@ def validate_instance(instance: MarketInstance):
     return [msg for _, _, msg in _findings(instance)]
 
 
+def check_instance(instance: MarketInstance) -> None:
+    """Raise ValidationError listing every violation, if there is one.
+
+    InfeasibleError when capacity short of demand is the only violation.
+    """
+    _raise(_findings(instance))
+
+
+def check_fleet(generators) -> None:
+    """check_instance for the generators alone, whatever the demand."""
+    _raise(sorted(_fleet_findings(generators), key=_order))
+
+
+def demand_violations(demand: float, generators) -> list:
+    """Violations of one demand level against a valid fleet."""
+    return [msg for _, _, msg in _demand_findings(demand, generators)]
+
+
+def _raise(found) -> None:
+    if found:
+        messages = [msg for _, _, msg in found]
+        only_infeasible = [rule for _, rule, _ in found] == ["infeasible"]
+        raise (InfeasibleError if only_infeasible else ValidationError)(
+            "; ".join(messages), messages
+        )
+
+
+def _order(finding):
+    return finding[0], finding[1]
+
+
 def _findings(instance: MarketInstance):
     """``validate_instance`` as sorted (generator id, rule, message) triples."""
+    found = _demand_findings(instance.demand, instance.generators)
+    found += _fleet_findings(instance.generators)
+    found.sort(key=_order)
+    return found
+
+
+def _demand_findings(demand: float, generators):
+    if not math.isfinite(demand):
+        return [("", "demand", "demand not finite")]
+    found = []
+    if demand <= 0:
+        found.append(("", "demand", "demand not positive"))
+    if generators:
+        cap = sum(g.x_max for g in generators)
+        if CapacityRule(demand).short(cap):
+            found.append(
+                ("", "infeasible", f"infeasible: total capacity {cap} below demand {demand}")
+            )
+    return found
+
+
+def _fleet_findings(generators):
     tol = boundary_tol()
     found = []
-
-    if not math.isfinite(instance.demand):
-        found.append(("", "demand", "demand not finite"))
-    elif instance.demand <= 0:
-        found.append(("", "demand", "demand not positive"))
-
-    if not instance.generators:
+    if not generators:
         found.append(("", "generators", "no generators"))
 
     seen = set()
-    for g in instance.generators:
+    for g in generators:
         if g.id in seen:
             found.append(("", f"id {g.id}", f"duplicate id {g.id}"))
         seen.add(g.id)
 
-    if instance.generators and math.isfinite(instance.demand):
-        cap = instance.total_capacity
-        if CapacityRule(instance.demand).short(cap):
-            found.append(
-                ("", "infeasible",
-                 f"infeasible: total capacity {cap} below demand {instance.demand}")
-            )
-
-    for g in instance.generators:
+    for g in generators:
         if not math.isfinite(g.x_max) or g.x_max <= 0:
             found.append((g.id, "capacity", f"{g.id}: x_max not positive"))
         elif abs(g.curve.domain_max - g.x_max) > tol:
@@ -380,23 +405,4 @@ def _findings(instance: MarketInstance):
             found.append((g.id, "startup", f"{g.id}: startup_cost negative"))
         for rule, msg in _curve_violations(g):
             found.append((g.id, rule, msg))
-
-    found.sort(key=lambda item: (item[0], item[1]))
     return found
-
-
-def serialize_instance(instance: MarketInstance) -> str:
-    """Render an instance back to schema JSON (field-exact round trip)."""
-    payload = {
-        "demand": instance.demand,
-        "generators": [
-            {
-                "id": g.id,
-                "w": g.startup_cost,
-                "curve": g.curve.json_form(),
-                "x_max": g.x_max,
-            }
-            for g in instance.generators
-        ],
-    }
-    return json.dumps(payload)

@@ -125,33 +125,18 @@ def classify_lnmgu(instance: MarketInstance, epsilon: float) -> LnmguPartition:
     )
 
 
-def eps_dual_system(instance: MarketInstance, epsilon: float):
-    """Generators and caps of the capped dual at margin epsilon.
+def mchp_price_set_eps(instance: MarketInstance, epsilon: float) -> PriceSet:
+    """Clearing prices of the capped dual at a positive margin.
 
     Regular units keep full capacity; the binding large unit is capped at
-    demand + epsilon; the remaining large units are dropped.  Returns
-    ``(gens, caps, partition)``.
+    demand + epsilon; the remaining large units are dropped.
     """
     part = classify_lnmgu(instance, epsilon)
-    gens = []
-    caps = []
-    for g in instance.generators:
-        if g.id in part.large:
-            if g.id == part.min_avg_id:
-                gens.append(g)
-                caps.append(instance.demand + part.epsilon)
-        else:
-            gens.append(g)
-            caps.append(g.x_max)
-    return gens, caps, part
-
-
-def mchp_price_set_eps(instance: MarketInstance, epsilon: float) -> PriceSet:
-    """Clearing prices of the capped dual at a positive margin."""
-    gens, caps, part = eps_dual_system(instance, epsilon)
     if not part.large:
         return price_set(list(instance.generators), instance.demand)
-    return price_set(gens, caps=caps, demand=instance.demand)
+    kept = [g for g in instance.generators if g.id not in part.large or g.id == part.min_avg_id]
+    caps = [instance.demand + part.epsilon if g.id == part.min_avg_id else g.x_max for g in kept]
+    return price_set(kept, caps=caps, demand=instance.demand)
 
 
 def mchp_price_set_limit(instance: MarketInstance) -> Tuple[PriceSet, str]:

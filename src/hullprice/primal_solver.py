@@ -35,12 +35,6 @@ class DispatchSolution(NamedTuple):
     committed_set: Tuple[str, ...]
     marginal_lambda: float
 
-    def entry(self, gid: str) -> ScheduleEntry:
-        for e in self.schedule:
-            if e.id == gid:
-                return e
-        raise KeyError(gid)
-
 
 def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     """Least-cost split of demand over committed units.

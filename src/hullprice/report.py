@@ -15,8 +15,8 @@ from contextlib import contextmanager
 from typing import List, NamedTuple, Optional, Sequence
 
 from .dual_pricing import PriceSet, UpliftReport, price_set, uplifts
-from .errors import PricingError, UnknownFormatError, ValidationError
-from .market_model import MarketInstance, validate_instance
+from .errors import PricingError, UnknownFormatError
+from .market_model import MarketInstance, check_fleet, check_instance, demand_violations
 from .mchp import DiagnosticsReport, MchpResult, diagnostics, mchp_price_set_limit, mchp_uplifts
 from .primal_solver import DispatchSolution, solve_primal
 
@@ -27,9 +27,7 @@ class PricingReport(NamedTuple):
     """Everything one pricing run produces."""
 
     demand: float
-    generator_ids: List[str]
     dispatch: DispatchSolution
-    chp_price_set: PriceSet
     chp: UpliftReport
     mchp: MchpResult
     checks: DiagnosticsReport
@@ -41,10 +39,7 @@ def _stage(name: str):
     try:
         yield
     except PricingError as exc:
-        wrapped = type(exc)(f"[{name}] {exc}")
-        if hasattr(exc, "violations"):
-            wrapped.violations = exc.violations
-        raise wrapped from exc
+        raise type(exc)(f"[{name}] {exc}") from exc
 
 
 def run_pipeline(instance: MarketInstance, price_representative: str = "lo") -> PricingReport:
@@ -52,13 +47,11 @@ def run_pipeline(instance: MarketInstance, price_representative: str = "lo") -> 
 
     ``price_representative`` picks the settlement price from each price
     set (lo, mid or hi).  The capped prices come from the closed-form
-    vanishing-margin set.  Module errors propagate with the failing stage
-    prepended to the message.
+    vanishing-margin set.  An invalid instance raises what
+    ``check_instance`` raises; errors of the later stages propagate with
+    the failing stage prepended to the message.
     """
-    with _stage("validate"):
-        violations = validate_instance(instance)
-        if violations:
-            raise ValidationError("; ".join(violations), violations)
+    check_instance(instance)
 
     with _stage("dispatch"):
         dispatch = solve_primal(instance)
@@ -79,9 +72,7 @@ def run_pipeline(instance: MarketInstance, price_representative: str = "lo") -> 
 
     return PricingReport(
         demand=instance.demand,
-        generator_ids=[g.id for g in instance.generators],
         dispatch=dispatch,
-        chp_price_set=chp_set,
         chp=chp_report,
         mchp=mchp_result,
         checks=checks,
@@ -123,7 +114,7 @@ def report_dict(report: PricingReport) -> dict:
             ],
         },
         "chp": {
-            "price_set": _price_set_dict(report.chp_price_set),
+            "price_set": _price_set_dict(report.chp.price_set),
             "price_used": _sig(report.chp.price_used),
             "dual_value": _sig(report.chp.dual_value),
             "gap": _sig(report.chp.gap),
@@ -178,7 +169,7 @@ def _render_markdown(report: PricingReport) -> str:
     lines.append("| quantity | hull pricing | capped pricing |")
     lines.append("| --- | --- | --- |")
     lines.append(
-        f"| price set | {_fmt_set(report.chp_price_set)} | {_fmt_set(report.mchp.price_set)} |"
+        f"| price set | {_fmt_set(report.chp.price_set)} | {_fmt_set(report.mchp.price_set)} |"
     )
     lines.append(
         f"| price used | {_sig(report.chp.price_used)} | "
@@ -226,19 +217,20 @@ class SweepRow(NamedTuple):
 def load_sweep(instance: MarketInstance, demands: Sequence[float]) -> List[SweepRow]:
     """Clearing prices of the same fleet over a grid of demands.
 
-    Infeasible or invalid demand levels produce a row with the error
-    message instead of price sets.
+    The instance's own demand plays no part.  An invalid fleet raises
+    ValidationError; infeasible or invalid demand levels produce a row
+    with the error message instead of price sets.
     """
+    check_fleet(instance.generators)
     rows = []
-    for d in demands:
-        candidate = instance._replace(demand=float(d))
-        violations = validate_instance(candidate)
+    for d in map(float, demands):
+        violations = demand_violations(d, instance.generators)
         if violations:
-            rows.append(SweepRow(float(d), None, None, None, "; ".join(violations)))
+            rows.append(SweepRow(d, None, None, None, "; ".join(violations)))
             continue
-        chp = price_set(list(candidate.generators), candidate.demand)
-        mchp_set, tag = mchp_price_set_limit(candidate)
-        rows.append(SweepRow(float(d), chp, mchp_set, tag))
+        chp = price_set(list(instance.generators), d)
+        mchp_set, tag = mchp_price_set_limit(instance._replace(demand=d))
+        rows.append(SweepRow(d, chp, mchp_set, tag))
     return rows
 
 

@@ -179,6 +179,16 @@ def hull_values(gen, queries, cap=None, npts=2001):
     return np.interp(np.asarray(queries, dtype=float), hx, hy)
 
 
+def hull_value(gen, hull, x):
+    """The envelope that ``hull``'s threshold and knee describe, at x.
+
+    Below the knee it is the chord from the origin, past it w + c(x).
+    """
+    if x <= hull.knee:
+        return hull.threshold * x
+    return gen.startup_cost + curve_value(gen.curve, x)
+
+
 def bisect_ec_min(gen, width=1e-12):
     """Lowest x where x * right-marginal >= w + c(x), else x_max."""
     w = gen.startup_cost
@@ -308,6 +318,42 @@ def level_set_price_interval(gens, demand, caps=None, width=1e-12):
                 a = mid
         hi = a
     return lo, hi
+
+
+# ------------------------------------------------------------- fleets
+
+
+def capped_fleet(instance, part):
+    """Generators and caps of the capped dual at ``part``'s margin.
+
+    Regular units keep full capacity, the binding large unit is capped at
+    demand + epsilon and the other large units are dropped.
+    """
+    kept = [g for g in instance.generators if g.id not in part.large or g.id == part.min_avg_id]
+    caps = [instance.demand + part.epsilon if g.id == part.min_avg_id else g.x_max for g in kept]
+    return kept, caps
+
+
+def entry(solution, gid):
+    """The schedule entry of unit ``gid``."""
+    return next(e for e in solution.schedule if e.id == gid)
+
+
+def serialize_instance(instance):
+    """Schema JSON of an instance, field for field."""
+
+    def curve_form(curve):
+        if isinstance(curve, Linear):
+            return {"linear": curve.a}
+        if isinstance(curve, Quadratic):
+            return {"quadratic": {"a": curve.a, "q": curve.q}}
+        return {"pwl": [[right, slope] for right, slope in curve.segments]}
+
+    gens = [
+        {"id": g.id, "w": g.startup_cost, "curve": curve_form(g.curve), "x_max": g.x_max}
+        for g in instance.generators
+    ]
+    return json.dumps({"demand": instance.demand, "generators": gens})
 
 
 # ---------------------------------------------------------- random corpus

@@ -12,8 +12,8 @@ import pytest
 
 from hullprice import (
     dual_value,
+    classify_lnmgu,
     ec_min,
-    eps_dual_system,
     load_sweep,
     mchp_price_set_eps,
     mchp_price_set_limit,
@@ -35,8 +35,8 @@ def _ok(num, text):
 
 def test_criterion_1_single_unit_closed_forms(ex1):
     rep = run_pipeline(ex1)
-    assert rep.chp_price_set.lo == pytest.approx(3.0, abs=1e-9)
-    assert rep.chp_price_set.hi == pytest.approx(3.0, abs=1e-9)
+    assert rep.chp.price_set.lo == pytest.approx(3.0, abs=1e-9)
+    assert rep.chp.price_set.hi == pytest.approx(3.0, abs=1e-9)
     assert rep.chp.total_uplift == pytest.approx(4.0, abs=1e-9)
     assert rep.mchp.price_set.lo == pytest.approx(4.0, abs=1e-9)
     assert rep.mchp.price_set.hi == pytest.approx(4.0, abs=1e-9)
@@ -55,9 +55,10 @@ def test_criterion_2_three_unit_fixture(ex2):
     gens, d = list(ex2.generators), ex2.demand
     sol = solve_primal(ex2)
     assert sol.total_cost == pytest.approx(20.5, abs=1e-6)
-    assert sol.entry("g1").output == pytest.approx(1.0, abs=1e-6)
-    assert sol.entry("g2").output == pytest.approx(3.0, abs=1e-6)
-    assert not sol.entry("g3").on
+    g1, g2, g3 = sol.schedule
+    assert g1.output == pytest.approx(1.0, abs=1e-6)
+    assert g2.output == pytest.approx(3.0, abs=1e-6)
+    assert not g3.on
 
     assert ec_min(gens[0]) == pytest.approx(0.0, abs=1e-6)
     assert ec_min(gens[1]) == pytest.approx(SQRT32, abs=1e-6)
@@ -88,7 +89,7 @@ def test_criterion_2_three_unit_fixture(ex2):
     assert abs(hi_loc - 2.8) <= step + 1e-9
 
     eps = 1e-3 * d
-    cgens, caps, _ = eps_dual_system(ex2, eps)
+    cgens, caps = oracles.capped_fleet(ex2, classify_lnmgu(ex2, eps))
     cps = mchp_price_set_eps(ex2, eps)
     assert cps.lo == pytest.approx(22.4 / (4.0 + eps), abs=1e-9)
     assert cps.lo < 5.6 < cps.lo + 0.01

@@ -10,7 +10,6 @@ from hullprice import (
     ValidationError,
     parse_instance,
     run_pipeline,
-    serialize_instance,
     validate_instance,
 )
 from hullprice.cli import main
@@ -162,7 +161,7 @@ def test_cli_prices_a_regular_fleet_short_above_10_mw(tmp_path, capsys):
 def _trimmed(instance, shortfall):
     """The instance with its largest unit trimmed so that capacity is
     demand - shortfall, or None when that unit cannot give up enough."""
-    spec = json.loads(serialize_instance(instance))
+    spec = json.loads(oracles.serialize_instance(instance))
     unit = max(spec["generators"], key=lambda g: g["x_max"])
     excess = sum(g["x_max"] for g in spec["generators"]) - (spec["demand"] - shortfall)
     x_max = unit["x_max"] - excess

@@ -1,6 +1,5 @@
 """Per-generator analysis: hulls, minimal economic output, profit, supply."""
 
-import json
 import math
 import random
 
@@ -19,8 +18,6 @@ from hullprice import (
     cost_eval,
     ec_min,
     hull_cost,
-    marginal_subdiff,
-    parse_instance,
     profit,
     supply_correspondence,
 )
@@ -81,30 +78,26 @@ def test_cost_eval_boundary_tolerance_is_fixed():
         cost_eval(EX1_GEN, 6 + 1e-6, True)
 
 
-# ------------------------------------------------------- marginal_subdiff
+# ---------------------------------------------------------- curve slopes
 
 
-def test_marginal_subdiff_quadratic_interior():
-    s = marginal_subdiff(quad_gen(0, 0, 1, 8), 3)
-    assert (s.lo, s.hi) == (3, 3)
+def test_slopes_quadratic_interior():
+    c = quad_gen(0, 0, 1, 8).curve
+    assert (c.slope_left(3), c.slope_right(3)) == (3, 3)
 
 
-def test_marginal_subdiff_pwl_kink():
-    g = pwl_gen(0, [(1, 2), (4, 5)])
-    s = marginal_subdiff(g, 1)
-    assert (s.lo, s.hi) == (2, 5)
+def test_slopes_pwl_kink():
+    c = pwl_gen(0, [(1, 2), (4, 5)]).curve
+    assert (c.slope_left(1), c.slope_right(1)) == (2, 5)
 
 
-def test_marginal_subdiff_linear_and_boundaries():
-    g = lin_gen(0, 1, 6)
-    assert marginal_subdiff(g, 3).lo == 1
-    assert marginal_subdiff(g, 3).hi == 1
-    # one-sided at the boundaries: a point, not a half line
-    q = quad_gen(0, 2, 1, 5)
-    assert marginal_subdiff(q, 0).lo == marginal_subdiff(q, 0).hi == 2
-    assert marginal_subdiff(q, 5).lo == marginal_subdiff(q, 5).hi == 7
-    with pytest.raises(DomainError):
-        marginal_subdiff(q, 5.1)
+def test_slopes_linear_and_boundaries():
+    c = lin_gen(0, 1, 6).curve
+    assert (c.slope_left(3), c.slope_right(3)) == (1, 1)
+    # at the ends of a PWL domain the one slope there stands in for both
+    c = pwl_gen(0, [(1, 2), (4, 5)]).curve
+    assert c.slope_left(0) == c.slope_right(0) == 2
+    assert c.slope_left(4) == c.slope_right(4) == 5
 
 
 # ----------------------------------------------------- average_total_cost
@@ -189,8 +182,8 @@ def test_hull_example_chord_to_capacity():
     hull = hull_cost(EX1_GEN)
     assert hull.threshold == pytest.approx(3, abs=1e-12)
     assert hull.knee == 6
-    assert hull.value(3) == pytest.approx(9, abs=1e-12)
-    assert hull.value(6) == pytest.approx(18, abs=1e-12)
+    assert oracles.hull_value(EX1_GEN, hull, 3) == pytest.approx(9, abs=1e-12)
+    assert oracles.hull_value(EX1_GEN, hull, 6) == pytest.approx(18, abs=1e-12)
 
 
 def test_hull_zero_startup_is_curve_itself():
@@ -199,7 +192,7 @@ def test_hull_zero_startup_is_curve_itself():
     assert hull.knee == 0
     assert hull.threshold == 1  # right slope at 0
     for x in (0.0, 1.3, 4.0):
-        assert hull.value(x) == pytest.approx(g.curve.value(x), abs=1e-12)
+        assert oracles.hull_value(g, hull, x) == pytest.approx(g.curve.value(x), abs=1e-12)
 
 
 def test_hull_capped_below_knee():
@@ -210,14 +203,6 @@ def test_hull_capped_below_knee():
         hull_cost(EX2_G2, cap=0)
 
 
-def test_hull_value_domain():
-    hull = hull_cost(EX1_GEN)
-    with pytest.raises(DomainError):
-        hull.value(6.5)
-    with pytest.raises(DomainError):
-        hull.value(-0.1)
-
-
 def test_hull_matches_geometric_oracle():
     rng = random.Random(401)
     for _ in range(40):
@@ -225,7 +210,7 @@ def test_hull_matches_geometric_oracle():
         for g in inst.generators:
             hull = hull_cost(g)
             xs = np.linspace(0.0, g.x_max, 257)
-            got = np.array([hull.value(x) for x in xs])
+            got = np.array([oracles.hull_value(g, hull, x) for x in xs])
             want = oracles.hull_values(g, xs, npts=20_001)
             assert np.max(np.abs(got - want)) < 1e-4 * max(1.0, want.max())
 
@@ -239,7 +224,7 @@ def test_hull_dominance_and_contact_set():
             xs = np.linspace(0.0, g.x_max, 1000)
             for x in xs:
                 f = 0.0 if x == 0.0 else g.startup_cost + g.curve.value(x)
-                fh = hull.value(x)
+                fh = oracles.hull_value(g, hull, x)
                 assert fh <= f + 1e-9
                 if x == 0.0 or x >= hull.knee - 1e-12:
                     assert fh == pytest.approx(f, abs=1e-9)
@@ -249,32 +234,21 @@ def test_hull_dominance_and_contact_set():
 
 
 def test_profit_threshold_tie_example():
-    r = profit(EX1_GEN, 3)
-    assert r.value == pytest.approx(0, abs=1e-12)
-    assert r.off_optimal
-    assert r.on_outputs is not None and r.on_outputs.hi == 6
+    assert profit(EX1_GEN, 3) == pytest.approx(0, abs=1e-12)
 
 
 def test_profit_nonpositive_price():
-    r = profit(EX1_GEN, 0)
-    assert r.value == 0 and r.off_optimal and r.on_outputs is None
-    r = profit(EX1_GEN, -2)
-    assert r.value == 0 and r.off_optimal
+    assert profit(EX1_GEN, 0) == 0
+    assert profit(EX1_GEN, -2) == 0
 
 
 def test_profit_capped_quadratic_stays_off():
     # 5.6 * 4 - 16 - 8 = -1.6: running never pays at this cap
-    r = profit(EX2_G2, 5.6, cap=4)
-    assert r.value == 0
-    assert r.off_optimal
-    assert r.on_outputs is None
+    assert profit(EX2_G2, 5.6, cap=4) == 0
 
 
 def test_profit_strictly_on():
-    r = profit(EX1_GEN, 5)
-    assert r.value == pytest.approx(5 * 6 - 12 - 6, abs=1e-12)
-    assert not r.off_optimal
-    assert (r.on_outputs.lo, r.on_outputs.hi) == (6, 6)
+    assert profit(EX1_GEN, 5) == pytest.approx(5 * 6 - 12 - 6, abs=1e-12)
 
 
 def test_profit_matches_grid_oracle():
@@ -284,7 +258,7 @@ def test_profit_matches_grid_oracle():
         for g in inst.generators:
             for p in (0.0, 0.7, 1.9, 3.4, 6.0, 11.0):
                 want = oracles.grid_profit(g, p, npts=20_000)
-                got = profit(g, p).value
+                got = profit(g, p)
                 # grid underestimates by at most slope * spacing
                 assert got >= want - 1e-9
                 assert got <= want + 2e-3 * max(1.0, p)
@@ -307,9 +281,9 @@ def test_profit_is_hull_conjugate():
                 if isinstance(g.curve, Quadratic) and g.curve.q > 0:
                     pts.append(min(max((p - g.curve.a) / g.curve.q, 0.0), g.x_max))
                 xs = np.concatenate([base, np.asarray(pts)])
-                fh = np.array([hull.value(x) for x in xs])
+                fh = np.array([oracles.hull_value(g, hull, x) for x in xs])
                 want = float(np.max(p * xs - fh))
-                assert profit(g, p).value == pytest.approx(want, abs=1e-6)
+                assert profit(g, p) == pytest.approx(want, abs=1e-6)
 
 
 # ---------------------------------------------------- supply correspondence
@@ -389,11 +363,11 @@ def _hull_subdiff(g, hull, x):
     if x < hull.knee - tol:
         return (hull.threshold, hull.threshold)
     if abs(x - hull.knee) <= tol:
-        hi = g.curve.slope_right(x) if hull.knee < hull.cap else math.inf
+        hi = g.curve.slope_right(x) if hull.knee < g.x_max else math.inf
         return (hull.threshold, hi)
-    if x < hull.cap - tol:
+    if x < g.x_max - tol:
         return (g.curve.slope_left(x), g.curve.slope_right(x))
-    return (g.curve.slope_left(hull.cap), math.inf)
+    return (g.curve.slope_left(g.x_max), math.inf)
 
 
 def test_supply_inverts_hull_subdifferential():

@@ -283,7 +283,8 @@ def test_eps_prices_approach_limit_from_below():
             at = d + part_eps.epsilon
             ceiling = min(
                 (g.startup_cost + oracles.curve_value(g.curve, at)) / at
-                for g in (inst.generator(gid) for gid in part_eps.large)
+                for g in inst.generators
+                if g.id in part_eps.large
             )
             assert ps.hi <= ceiling + 1e-9
         checked += 1
@@ -302,8 +303,8 @@ def test_large_units_never_profit_at_limit_price():
         sol = solve_primal(inst)
         limit, _ = mchp_price_set_limit(inst)
         res = mchp_uplifts(inst, sol, limit.representative("hi"))
-        for gid in part.large:
-            g = inst.generator(gid)
+        large = [g for g in inst.generators if g.id in part.large]
+        for g in large:
             cap = min(inst.demand, g.x_max)
             p = limit.representative("hi")
             best = max(

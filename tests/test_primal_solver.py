@@ -128,7 +128,7 @@ def test_economic_dispatch_ramp_flatter_than_float_resolution():
 def test_economic_dispatch_ramp_root_is_exact(ex2):
     sol = solve_primal(ex2)
     assert sol.marginal_lambda == 3.0
-    assert sol.entry("g2").output == 3.0
+    assert oracles.entry(sol, "g2").output == 3.0
 
 
 def test_dispatch_at_large_mw_scale_serves_demand():
@@ -137,8 +137,8 @@ def test_dispatch_at_large_mw_scale_serves_demand():
     inst = make_instance(12000, LARGE_MW_FLEET)
     sol = solve_primal(inst)
     assert sol.committed_set == ("g0", "g1")
-    assert sol.entry("g0").output == 2000.0
-    assert sol.entry("g1").output == 10000.0
+    assert oracles.entry(sol, "g0").output == 2000.0
+    assert oracles.entry(sol, "g1").output == 10000.0
     assert sol.marginal_lambda == 2.0
 
 
@@ -149,7 +149,7 @@ def test_solve_example_one(ex1):
     sol = solve_primal(ex1)
     assert sol.total_cost == pytest.approx(16.0, abs=1e-9)
     assert sol.committed_set == ("g",)
-    e = sol.entry("g")
+    e = oracles.entry(sol, "g")
     assert e.on and e.output == pytest.approx(4.0, abs=1e-9)
 
 
@@ -157,9 +157,9 @@ def test_solve_example_two(ex2):
     sol = solve_primal(ex2)
     assert sol.total_cost == pytest.approx(20.5, abs=1e-9)
     assert sol.committed_set == ("g1", "g2")
-    assert sol.entry("g1").output == pytest.approx(1.0, abs=1e-9)
-    assert sol.entry("g2").output == pytest.approx(3.0, abs=1e-9)
-    g3 = sol.entry("g3")
+    assert oracles.entry(sol, "g1").output == pytest.approx(1.0, abs=1e-9)
+    assert oracles.entry(sol, "g2").output == pytest.approx(3.0, abs=1e-9)
+    g3 = oracles.entry(sol, "g3")
     assert not g3.on and g3.output == 0.0
     assert sol.marginal_lambda == pytest.approx(3.0, abs=1e-6)
 
@@ -168,8 +168,8 @@ def test_solve_example_three(ex3):
     sol = solve_primal(ex3)
     assert sol.total_cost == pytest.approx(12.0, abs=1e-9)
     assert sol.committed_set == ("g2",)
-    assert sol.entry("g2").output == pytest.approx(4.0, abs=1e-9)
-    assert not sol.entry("g1").on
+    assert oracles.entry(sol, "g2").output == pytest.approx(4.0, abs=1e-9)
+    assert not oracles.entry(sol, "g1").on
 
 
 def test_solve_example_five_prefers_cheap_large_unit(ex5):
@@ -191,7 +191,7 @@ def test_solve_tie_prefers_fewer_then_lex():
     sol = solve_primal(inst)
     # singles beat the pair at equal cost; "a" beats "b" lexicographically
     assert sol.committed_set == ("a",)
-    assert sol.entry("a").output == pytest.approx(3.0, abs=1e-9)
+    assert oracles.entry(sol, "a").output == pytest.approx(3.0, abs=1e-9)
 
 
 def test_solve_zero_output_units_stay_off():
@@ -204,7 +204,7 @@ def test_solve_zero_output_units_stay_off():
     )
     sol = solve_primal(inst)
     assert sol.committed_set == ("cheap",)
-    e = sol.entry("dear")
+    e = oracles.entry(sol, "dear")
     assert not e.on and e.output == 0.0
 
 
@@ -238,17 +238,17 @@ def test_solution_shape_invariants():
         sol = solve_primal(inst)
         served = sum(e.output for e in sol.schedule)
         assert served == pytest.approx(inst.demand, abs=1e-7)
-        for e in sol.schedule:
-            g = inst.generator(e.id)
+        for g, e in zip(inst.generators, sol.schedule, strict=True):
+            assert g.id == e.id
             assert -1e-9 <= e.output <= g.x_max + 1e-9
             if not e.on:
                 assert e.output == 0.0
             if g.startup_cost > 0 and e.output == 0.0:
                 assert not e.on  # committed-at-zero never optimal
         recomputed = sum(
-            g.startup_cost + g.curve.value(sol.entry(g.id).output)
-            for g in inst.generators
-            if sol.entry(g.id).on
+            g.startup_cost + g.curve.value(e.output)
+            for g, e in zip(inst.generators, sol.schedule)
+            if e.on
         )
         assert recomputed == pytest.approx(sol.total_cost, abs=1e-7)
 
@@ -296,4 +296,4 @@ def test_modified_primal_same_optimum():
         assert alt.total_cost == pytest.approx(base.total_cost, abs=1e-8)
         assert alt.committed_set == base.committed_set
         for e in base.schedule:
-            assert alt.entry(e.id).output == pytest.approx(e.output, abs=1e-6)
+            assert oracles.entry(alt, e.id).output == pytest.approx(e.output, abs=1e-6)

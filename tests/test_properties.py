@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from hullprice import (
+    classify_lnmgu,
     diagnostics,
     parse_instance,
     run_pipeline,
-    serialize_instance,
     dual_value,
-    eps_dual_system,
     mchp_price_set_eps,
     mchp_price_set_limit,
     mchp_uplifts,
@@ -101,7 +100,7 @@ def _scale(instance, mw, money):
     by money.
     """
     price = money / mw
-    spec = json.loads(serialize_instance(instance))
+    spec = json.loads(oracles.serialize_instance(instance))
     spec["demand"] *= mw
     for g in spec["generators"]:
         g["w"] *= money
@@ -146,7 +145,7 @@ def test_generator_order_does_not_change_results():
     rng = random.Random(806)
     for _ in range(300):
         inst = oracles.random_instance(rng)
-        spec = json.loads(serialize_instance(inst))
+        spec = json.loads(oracles.serialize_instance(inst))
         rng.shuffle(spec["generators"])
         a = run_pipeline(inst)
         b = run_pipeline(parse_instance(json.dumps(spec)))
@@ -155,7 +154,7 @@ def test_generator_order_does_not_change_results():
         assert {e.id for e in b.dispatch.schedule if e.on} == {
             e.id for e in a.dispatch.schedule if e.on
         }
-        for pa, pb in ((a.chp_price_set, b.chp_price_set), (a.mchp.price_set, b.mchp.price_set)):
+        for pa, pb in ((a.chp.price_set, b.chp.price_set), (a.mchp.price_set, b.mchp.price_set)):
             assert pb.unbounded_above == pa.unbounded_above
             assert pb.lo == pytest.approx(pa.lo, rel=1e-12, abs=1e-12)
             assert pb.hi == pytest.approx(pa.hi, rel=1e-12, abs=1e-12)
@@ -208,7 +207,7 @@ def test_grid_dual_locates_both_price_sets():
         assert abs(hi_loc - ps.hi) <= step + 1e-9
 
         eps = 0.05 * d
-        cgens, caps, _ = eps_dual_system(inst, eps)
+        cgens, caps = oracles.capped_fleet(inst, classify_lnmgu(inst, eps))
         cps = mchp_price_set_eps(inst, eps)
         assert not cps.unbounded_above
         upb2 = oracles.price_grid_upper_bound(cgens, caps)

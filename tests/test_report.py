@@ -29,7 +29,7 @@ from conftest import EX1_JSON, EX2_JSON, EX3_JSON, EX4_JSON, EX5_JSON, LARGE_MW_
 def test_pipeline_example_three(ex3):
     rep = run_pipeline(ex3)
     assert rep.dispatch.total_cost == pytest.approx(12.0, abs=1e-9)
-    assert rep.chp_price_set.lo == pytest.approx(2.0, abs=1e-9)
+    assert rep.chp.price_set.lo == pytest.approx(2.0, abs=1e-9)
     assert rep.chp.total_uplift == pytest.approx(4.0, abs=1e-9)
     assert rep.mchp.price_set.lo == pytest.approx(3.0, abs=1e-9)
     assert rep.mchp.total_uplift == pytest.approx(0.0, abs=1e-9)
@@ -50,7 +50,7 @@ def test_pipeline_marginal_unit_needs_no_uplift():
         3, [{"id": "g", "w": 0, "curve": {"quadratic": {"a": 1, "q": 1}}, "x_max": 6}]
     )
     rep = run_pipeline(inst)
-    assert rep.chp_price_set.lo == pytest.approx(4.0, abs=1e-9)
+    assert rep.chp.price_set.lo == pytest.approx(4.0, abs=1e-9)
     assert rep.mchp.price_set.lo == pytest.approx(4.0, abs=1e-9)
     assert rep.chp.total_uplift == pytest.approx(0.0, abs=1e-9)
     assert rep.mchp.total_uplift == pytest.approx(0.0, abs=1e-9)
@@ -106,7 +106,7 @@ def test_pipeline_report_invariants(ex1, ex2, ex3, ex4, ex5):
     for inst in (ex1, ex2, ex3, ex4, ex5):
         rep = run_pipeline(inst)
         assert rep.chp.gap >= rep.mchp.total_uplift - 1e-6
-        assert rep.chp_price_set.contains(rep.chp.price_used, tol=1e-9)
+        assert rep.chp.price_set.contains(rep.chp.price_used, tol=1e-9)
         d = report_dict(rep)
         assert "timings" not in json.dumps(d)
         for section in ("dispatch", "chp", "mchp", "checks"):
@@ -293,6 +293,32 @@ def test_cli_sweep(ex1_file, capsys):
     assert "demand 9.0:" in err
 
 
+FOUR_MW_FLEET = [
+    {"id": "a", "w": 1, "curve": {"linear": 2}, "x_max": 2},
+    {"id": "b", "w": 0, "curve": {"linear": 3}, "x_max": 2},
+]
+
+
+@pytest.mark.parametrize("file_demand", [50, -1])
+def test_cli_sweep_ignores_the_files_demand(tmp_path, capsys, file_demand):
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps({"demand": file_demand, "generators": FOUR_MW_FLEET}))
+    assert main([str(path), "--sweep", "1,2,3", "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1.0", "2.0", "3.0"]
+    assert "sweep: 3/3 demand levels priced" in err
+
+
+def test_cli_sweep_over_an_invalid_fleet_exits_2(tmp_path, capsys):
+    fleet = [dict(FOUR_MW_FLEET[0], w=-1), FOUR_MW_FLEET[1]]
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps({"demand": 3, "generators": fleet}))
+    assert main([str(path), "--sweep", "1,2,3", "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: a: startup_cost negative\n"
+
+
 def test_cli_schema_error_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{}")
@@ -393,15 +419,15 @@ def test_cli_rejects_unknown_format(ex1_file):
 def test_records_are_immutable(ex1):
     rep = run_pipeline(ex1)
     for record, field in (
-        (rep.chp_price_set, "lo"),
+        (rep.chp.price_set, "lo"),
         (ex1, "demand"),
         (rep.chp, "total_uplift"),
         (rep.checks, "price_ordering"),
     ):
         with pytest.raises(AttributeError):
             setattr(record, field, 0.0)
-    assert rep.chp_price_set._replace(lo=0.0).lo == 0.0
-    assert rep.chp_price_set.lo != 0.0
+    assert rep.chp.price_set._replace(lo=0.0).lo == 0.0
+    assert rep.chp.price_set.lo != 0.0
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
