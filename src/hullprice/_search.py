@@ -1,6 +1,6 @@
 """Monotone-predicate bisection used to locate price-set endpoints."""
 
-from typing import Callable, Tuple
+from collections.abc import Callable
 
 
 def bisect_transition(
@@ -9,7 +9,7 @@ def bisect_transition(
     pred: Callable[[float], bool],
     max_iter: int = 200,
     width: float = 1e-13,
-) -> Tuple[float, float]:
+) -> tuple[float, float]:
     """Locate the switch point of a monotone predicate on [lo, hi].
 
     ``pred`` must be False at ``lo``, True at ``hi`` and monotone in

@@ -12,7 +12,7 @@ envelope's tangent point is all-or-nothing.
 """
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import DomainError
 from .market_model import GeneratorSpec, Linear, Quadratic
@@ -68,7 +68,7 @@ def average_total_cost(gen: GeneratorSpec, x: float) -> float:
     return (gen.startup_cost + gen.curve.value(x)) / x
 
 
-def _resolve_cap(gen: GeneratorSpec, cap: Optional[float]) -> float:
+def _resolve_cap(gen: GeneratorSpec, cap: float | None) -> float:
     if cap is None:
         return gen.x_max
     if cap <= 0 or cap > gen.x_max + boundary_tol():
@@ -76,7 +76,7 @@ def _resolve_cap(gen: GeneratorSpec, cap: Optional[float]) -> float:
     return min(cap, gen.x_max)
 
 
-def ec_min(gen: GeneratorSpec, cap: Optional[float] = None) -> float:
+def ec_min(gen: GeneratorSpec, cap: float | None = None) -> float:
     """Minimal economic output: where average total cost stops falling.
 
     Returns the lowest x in (0, cap) whose average total cost lies in the
@@ -114,7 +114,7 @@ def ec_min(gen: GeneratorSpec, cap: Optional[float] = None) -> float:
     return cap
 
 
-def hull_cost(gen: GeneratorSpec, cap: Optional[float] = None) -> Hull:
+def hull_cost(gen: GeneratorSpec, cap: float | None = None) -> Hull:
     """Break-even threshold and knee of the convex envelope on [0, cap].
 
     The chord from the origin is tangent at the (possibly capped) minimal
@@ -128,7 +128,7 @@ def hull_cost(gen: GeneratorSpec, cap: Optional[float] = None) -> Hull:
     return Hull(gen.curve.slope_right(0.0), knee)
 
 
-def profit(gen: GeneratorSpec, p: float, cap: Optional[float] = None) -> float:
+def profit(gen: GeneratorSpec, p: float, cap: float | None = None) -> float:
     """Best profit of a price taker at price p, output limited to cap.
 
     Maximizes p*x - w - c(x) against the off option worth 0.
@@ -138,7 +138,7 @@ def profit(gen: GeneratorSpec, p: float, cap: Optional[float] = None) -> float:
     return max(0.0, p * x - gen.curve.value(x) - gen.startup_cost)
 
 
-def supply_correspondence(gen: GeneratorSpec, p: float, cap: Optional[float] = None) -> Interval:
+def supply_correspondence(gen: GeneratorSpec, p: float, cap: float | None = None) -> Interval:
     """Profit-maximizing output range at price p (hulled response).
 
     Below the break-even threshold the unit stays off.  Exactly at the

@@ -12,7 +12,8 @@ settling at p, generator by generator.
 """
 
 import math
-from typing import Dict, NamedTuple, Optional, Sequence
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from ._search import bisect_transition
 from .cost_analysis import Interval, average_total_cost, cost_eval, profit, supply_correspondence
@@ -66,21 +67,21 @@ class UpliftReport(NamedTuple):
     """
 
     price_used: float
-    per_generator: Dict[str, float]
+    per_generator: dict[str, float]
     total_uplift: float
     dual_value: float
     gap: float
     price_set: PriceSet
 
 
-def _resolve_caps(gens: Sequence[GeneratorSpec], caps: Optional[Sequence[float]]):
+def _resolve_caps(gens: Sequence[GeneratorSpec], caps: Sequence[float] | None):
     if caps is None:
         return [g.x_max for g in gens]
     return list(caps)
 
 
 def aggregate_supply(
-    gens: Sequence[GeneratorSpec], p: float, caps: Optional[Sequence[float]] = None
+    gens: Sequence[GeneratorSpec], p: float, caps: Sequence[float] | None = None
 ) -> Interval:
     """Sum of all generators' optimal output ranges at price p."""
     caps = _resolve_caps(gens, caps)
@@ -100,7 +101,7 @@ def _price_upper_bound(gens, caps) -> float:
 
 
 def price_set(
-    gens: Sequence[GeneratorSpec], demand: float, caps: Optional[Sequence[float]] = None
+    gens: Sequence[GeneratorSpec], demand: float, caps: Sequence[float] | None = None
 ) -> PriceSet:
     """All prices at which aggregate supply can clear demand.
 
@@ -152,7 +153,7 @@ def lost_profits(
     dispatch: DispatchSolution,
     p: float,
     caps: Sequence[float],
-) -> Dict[str, float]:
+) -> dict[str, float]:
     """Each unit's best profit at p within its cap minus what its schedule earns.
 
     ``dispatch.schedule`` lists the units in instance order.

@@ -23,7 +23,7 @@ endpoint must equal x_max.
 
 import json
 import math
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import InfeasibleError, SchemaError, ValidationError
 from .tolerances import boundary_tol, demand_tol, supply_slack
@@ -135,7 +135,7 @@ class PiecewiseLinear(NamedTuple):
         return self.domain_max
 
 
-CostCurve = Union[Linear, Quadratic, PiecewiseLinear]
+CostCurve = Linear | Quadratic | PiecewiseLinear
 
 
 class GeneratorSpec(NamedTuple):

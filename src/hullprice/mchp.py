@@ -17,7 +17,7 @@ fleet.
 """
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import NamedTuple
 
 from .cost_analysis import average_total_cost, ec_min
 from .dual_pricing import PriceSet, UpliftReport, lost_profits, price_set
@@ -46,9 +46,9 @@ class LnmguPartition(NamedTuple):
     after auto-shrinking below the smallest large-unit headroom.
     """
 
-    large: Tuple[str, ...]
-    regular: Tuple[str, ...]
-    min_avg_id: Optional[str]
+    large: tuple[str, ...]
+    regular: tuple[str, ...]
+    min_avg_id: str | None
     epsilon: float
 
 
@@ -60,7 +60,7 @@ class MchpResult(NamedTuple):
 
     price_set: PriceSet
     case_tag: str
-    per_generator: Dict[str, float]
+    per_generator: dict[str, float]
     total_uplift: float
     partition: LnmguPartition
 
@@ -100,8 +100,8 @@ def classify_lnmgu(instance: MarketInstance, epsilon: float) -> LnmguPartition:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     d = instance.demand
     rule = CapacityRule(d)
-    large: List[GeneratorSpec] = []
-    regular: List[str] = []
+    large: list[GeneratorSpec] = []
+    regular: list[str] = []
     headroom = math.inf
     for g in instance.generators:
         floor = ec_min(g)
@@ -139,10 +139,13 @@ def mchp_price_set_eps(instance: MarketInstance, epsilon: float) -> PriceSet:
     return price_set(kept, caps=caps, demand=instance.demand)
 
 
-def mchp_price_set_limit(instance: MarketInstance) -> Tuple[PriceSet, str]:
+def mchp_price_set_limit(
+    instance: MarketInstance, hull: PriceSet | None = None
+) -> tuple[PriceSet, str]:
     """Vanishing-margin clearing prices, in closed form.
 
-    With no large units this is the ordinary price set.  Otherwise let
+    With no large units this is the ordinary price set, ``hull`` when the
+    caller has already computed it for this instance.  Otherwise let
     p_bar be the cheapest large unit's average total cost at demand and
     P_red the price set of the regular fleet alone:
 
@@ -153,15 +156,17 @@ def mchp_price_set_limit(instance: MarketInstance) -> Tuple[PriceSet, str]:
     - P_red straddles p_bar: the set is P_red truncated above at p_bar;
     - P_red lies at or above p_bar: the set collapses to {p_bar}.
     """
-    return _limit_set(instance, classify_lnmgu(instance, default_epsilon(instance)))
+    return _limit_set(instance, classify_lnmgu(instance, default_epsilon(instance)), hull)
 
 
-def _limit_set(instance: MarketInstance, part: LnmguPartition) -> Tuple[PriceSet, str]:
+def _limit_set(
+    instance: MarketInstance, part: LnmguPartition, hull: PriceSet | None = None
+) -> tuple[PriceSet, str]:
     """``mchp_price_set_limit`` on a fleet already partitioned."""
     gens = list(instance.generators)
     d = instance.demand
     if not part.large:
-        return price_set(gens, d), CASE_NO_LNMGU
+        return (price_set(gens, d) if hull is None else hull), CASE_NO_LNMGU
 
     large = set(part.large)
     p_bar = min(average_total_cost(g, d) for g in gens if g.id in large)

@@ -1,19 +1,24 @@
 """Exact centralized dispatch.
 
-Commitment is solved by exhaustive subset search (instances are small by
-construction) and the dispatch of each committed set at the shared
-marginal price, found exactly from the breakpoints of the units' output
-ceilings: outputs below the price-level set are raised, the remaining
-demand is spread over units indifferent at that price.  Start-up
-costs are added per committed unit after dispatch.
+Commitment is solved by an exact subset search, pruned by a cost floor.
+Every variable-cost curve starts at c(0) = 0, so no subset serves demand
+for less variable cost than the whole fleet dispatched together; a subset
+whose start-up bill plus that floor exceeds the cheapest schedule found
+so far cannot win and is never dispatched.  Each remaining subset is
+dispatched at the shared marginal price, found exactly from the
+breakpoints of the units' output ceilings: outputs below the price-level
+set are raised, the remaining demand is spread over units indifferent at
+that price.  Start-up costs are added per committed unit after dispatch.
 """
 
 import itertools
 import math
-from typing import NamedTuple, Sequence, Tuple
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from .errors import InfeasibleError, SizeError
 from .market_model import CapacityRule, GeneratorSpec, MarketInstance, PiecewiseLinear, Quadratic
+from .tolerances import COST_FLOOR_SLACK
 
 MAX_GENERATORS = 24
 
@@ -31,8 +36,8 @@ class DispatchSolution(NamedTuple):
     """
 
     total_cost: float
-    schedule: Tuple[ScheduleEntry, ...]
-    committed_set: Tuple[str, ...]
+    schedule: tuple[ScheduleEntry, ...]
+    committed_set: tuple[str, ...]
     marginal_lambda: float
 
 
@@ -138,9 +143,16 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
     Subsets are searched in (size, id-lexicographic) order and a new
     incumbent must be strictly cheaper, so cost ties resolve to fewer
     committed units, then to the lexicographically first id set.  Subsets
-    whose start-up bill alone meets the incumbent are pruned, and subsets
-    whose capacity is short of demand are skipped.  A fleet short of
-    demand raises InfeasibleError before any subset is tried.
+    whose capacity is short of demand are skipped.
+
+    The whole fleet is dispatched once first.  Its variable cost, less
+    its marginal price times the most a subset may leave unserved
+    (``CapacityRule.tol``), is a floor under every subset's variable
+    cost.  A subset whose start-up bill plus the floor exceeds the
+    incumbent by more than ``COST_FLOOR_SLACK`` (rounding) is pruned
+    undispatched; it could not have become the incumbent, so the answer
+    is that of trying every subset.  A fleet short of demand raises
+    InfeasibleError before any subset is tried.
     """
     n = len(instance.generators)
     if n > MAX_GENERATORS:
@@ -151,6 +163,10 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
     if rule.short(capacity):
         raise InfeasibleError(f"total capacity {capacity} below demand {instance.demand}")
     pool = sorted(instance.generators, key=lambda g: g.id)
+    # no subset serves demand for less variable cost than the whole fleet,
+    # less what it may leave unserved, priced at the fleet's marginal price
+    outputs, lam = economic_dispatch(pool, instance.demand)
+    floor = sum(g.curve.value(x) for g, x in zip(pool, outputs)) - lam * rule.tol
     best_cost = float("inf")
     best_combo = None
     best_outputs = None
@@ -158,7 +174,7 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
     for size in range(1, n + 1):
         for combo in itertools.combinations(pool, size):
             startup_bill = sum(g.startup_cost for g in combo)
-            if startup_bill >= best_cost:
+            if startup_bill + floor > best_cost * (1.0 + COST_FLOOR_SLACK):
                 continue
             if rule.short(sum(g.x_max for g in combo)):
                 continue

@@ -12,7 +12,8 @@ import io
 import json
 import math
 from contextlib import contextmanager
-from typing import List, NamedTuple, Optional, Sequence
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from .dual_pricing import PriceSet, UpliftReport, price_set, uplifts
 from .errors import PricingError, UnknownFormatError
@@ -208,13 +209,13 @@ def render_report(report: PricingReport, fmt: str = "json") -> str:
 
 class SweepRow(NamedTuple):
     demand: float
-    chp: Optional[PriceSet]
-    mchp: Optional[PriceSet]
-    case_tag: Optional[str]
-    error: Optional[str] = None
+    chp: PriceSet | None
+    mchp: PriceSet | None
+    case_tag: str | None
+    error: str | None = None
 
 
-def load_sweep(instance: MarketInstance, demands: Sequence[float]) -> List[SweepRow]:
+def load_sweep(instance: MarketInstance, demands: Sequence[float]) -> list[SweepRow]:
     """Clearing prices of the same fleet over a grid of demands.
 
     The instance's own demand plays no part.  An invalid fleet raises
@@ -229,7 +230,7 @@ def load_sweep(instance: MarketInstance, demands: Sequence[float]) -> List[Sweep
             rows.append(SweepRow(d, None, None, None, "; ".join(violations)))
             continue
         chp = price_set(list(instance.generators), d)
-        mchp_set, tag = mchp_price_set_limit(instance._replace(demand=d))
+        mchp_set, tag = mchp_price_set_limit(instance._replace(demand=d), chp)
         rows.append(SweepRow(d, chp, mchp_set, tag))
     return rows
 

@@ -9,6 +9,11 @@ PRICE_EQ_TOL = 1e-11
 # Slack for comparing MW with demand (MW); see demand_tol.
 FEASIBILITY_TOL = 1e-9
 
+# Relative slack of the commitment search's cost floor: a float sum of at
+# most 24 nonnegative costs is off by at most 23 ulps of its value, and
+# the floor compares two such sums.
+COST_FLOOR_SLACK = 64 * 2.0**-52
+
 # How far a settlement price may drift outside the computed price set
 # before it is rejected as stale ($/MWh).
 STALE_PRICE_TOL = 1e-6

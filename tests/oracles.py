@@ -5,14 +5,26 @@ are recomputed from the record fields, hulls come from a geometric
 lower-hull sweep, dispatch from dynamic programming over an output grid
 or from bisection on the marginal price, and price/output searches from
 plain predicate bisection.  Agreement with the package is therefore a
-genuine second opinion, not an echo.
+genuine second opinion, not an echo.  The one exception is
+``enumerate_primal``, the commitment search without its cost floor: it
+dispatches with the package's ``economic_dispatch`` on purpose, so that
+any difference from ``solve_primal`` is the pruning's alone.
 """
 
+import itertools
 import json
 
 import numpy as np
 
-from hullprice import Linear, PiecewiseLinear, Quadratic, parse_instance
+from hullprice import (
+    DispatchSolution,
+    Linear,
+    PiecewiseLinear,
+    Quadratic,
+    ScheduleEntry,
+    parse_instance,
+    primal_solver,
+)
 
 
 # ---------------------------------------------------------------- curves
@@ -274,6 +286,44 @@ def bisect_dispatch(gens, demand, width=5e-13):
     return outputs, 0.5 * (lo + hi)
 
 
+def enumerate_primal(instance):
+    """``solve_primal`` as an exhaustive search, pruned by start-up bills only.
+
+    Every subset whose start-up bill is below the incumbent and whose
+    capacity meets demand is dispatched, in (size, id) order, and a new
+    incumbent must be strictly cheaper.  Dispatch goes through
+    ``primal_solver.economic_dispatch`` so that call counters see it.
+    """
+    rule = primal_solver.CapacityRule(instance.demand)
+    pool = sorted(instance.generators, key=lambda g: g.id)
+    best_cost = float("inf")
+    best = None
+    for size in range(1, len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            startup_bill = sum(g.startup_cost for g in combo)
+            if startup_bill >= best_cost:
+                continue
+            if rule.short(sum(g.x_max for g in combo)):
+                continue
+            outputs, lam = primal_solver.economic_dispatch(combo, instance.demand)
+            cost = startup_bill + sum(g.curve.value(x) for g, x in zip(combo, outputs))
+            if cost < best_cost:
+                best_cost = cost
+                best = (combo, outputs, lam)
+    combo, outputs, lam = best
+    by_id = {g.id: x for g, x in zip(combo, outputs)}
+    schedule = tuple(
+        ScheduleEntry(id=g.id, on=g.id in by_id, output=by_id.get(g.id, 0.0))
+        for g in instance.generators
+    )
+    return DispatchSolution(
+        total_cost=best_cost,
+        schedule=schedule,
+        committed_set=tuple(e.id for e in schedule if e.on),
+        marginal_lambda=lam,
+    )
+
+
 def level_set_price_interval(gens, demand, caps=None, width=1e-12):
     """Marginal-price interval of economic dispatch, from level sets.
 
@@ -410,6 +460,38 @@ def random_instance(rng, allow_ray=True, force_zero_w=False, kinds=("linear", "q
     else:
         demand = max(0.5, rng.uniform(0.35, 0.95) * total_cap)
         demand = min(demand, 0.95 * total_cap)
+    return parse_instance(json.dumps({"demand": demand, "generators": gens}))
+
+
+def mixed_fleet(rng, n):
+    """n units of the three curve kinds, demand at 50-55% of capacity.
+
+    Capacities lie in [3, 9] MW and one unit in ten has no start-up cost:
+    the shape of the 12-unit dispatch benchmark fleets.  Values sit on the
+    1/1000 grid, so the JSON round trip is exact.
+    """
+
+    def milli(lo, hi):
+        return rng.randint(int(lo * 1000), int(hi * 1000)) / 1000.0
+
+    kinds = [("linear", "quadratic", "pwl")[k % 3] for k in range(n)]
+    rng.shuffle(kinds)
+    gens = []
+    for k, kind in enumerate(kinds):
+        x_max = milli(3.0, 9.0)
+        if kind == "linear":
+            curve = {"linear": milli(0.5, 5.0)}
+        elif kind == "quadratic":
+            curve = {"quadratic": {"a": milli(0.0, 3.0), "q": milli(0.05, 0.6)}}
+        else:
+            nseg = rng.randint(2, 4)
+            slopes = sorted(milli(0.2, 6.0) for _ in range(nseg))
+            cuts = sorted(rng.sample(range(1, round(x_max * 1000)), nseg - 1))
+            curve = {"pwl": [[c / 1000.0, s] for c, s in zip(cuts, slopes)]}
+            curve["pwl"].append([x_max, slopes[-1]])
+        w = 0.0 if rng.random() < 0.1 else milli(4.0, 20.0)
+        gens.append({"id": f"g{k + 1:02d}", "w": w, "curve": curve, "x_max": x_max})
+    demand = round(rng.uniform(0.5, 0.55) * sum(g["x_max"] for g in gens), 3)
     return parse_instance(json.dumps({"demand": demand, "generators": gens}))
 
 

@@ -1,5 +1,6 @@
-"""Exact dispatch: commitment enumeration and breakpoint marginal prices."""
+"""Exact dispatch: the pruned commitment search and breakpoint marginal prices."""
 
+import functools
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from hullprice import (
     Quadratic,
     SizeError,
     economic_dispatch,
+    primal_solver,
     solve_primal,
 )
 
@@ -229,6 +231,98 @@ def test_solve_infeasible_fleet_fails_before_the_subset_search():
     gens = tuple(GeneratorSpec(f"g{i:02d}", 1.0, Linear(1.0, 1.0), 1.0) for i in range(12))
     with pytest.raises(InfeasibleError, match="total capacity 12.0 below demand 13.0"):
         solve_primal(MarketInstance(demand=13.0, generators=gens))
+
+
+# ------------------------------------------- floor pruning vs enumeration
+
+
+def _assert_same_solution(got, want):
+    # bit-equal floats: the pruning may only skip subsets, never reorder sums
+    assert got.total_cost.hex() == want.total_cost.hex()
+    assert got.marginal_lambda.hex() == want.marginal_lambda.hex()
+    assert got.committed_set == want.committed_set
+    assert got.schedule == want.schedule
+
+
+def _counted_solve(solve, inst):
+    """``solve(inst)`` and its number of ``economic_dispatch`` calls."""
+    original = primal_solver.economic_dispatch
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    primal_solver.economic_dispatch = counted
+    try:
+        return solve(inst), calls
+    finally:
+        primal_solver.economic_dispatch = original
+
+
+@functools.cache
+def _mixed_fleet_runs(n, count):
+    """Reference and pruned solutions, with dispatch counts, of seeded fleets."""
+    rng = random.Random(f"mixed/{n}")
+    runs = []
+    for _ in range(count):
+        inst = oracles.mixed_fleet(rng, n)
+        runs.append(
+            (_counted_solve(oracles.enumerate_primal, inst), _counted_solve(solve_primal, inst))
+        )
+    return runs
+
+
+def test_pruned_search_matches_enumeration_on_random_fleets():
+    rng = random.Random(3)
+    for _ in range(3000):
+        inst = oracles.random_instance(rng)
+        _assert_same_solution(solve_primal(inst), oracles.enumerate_primal(inst))
+
+
+@pytest.mark.parametrize("n, count", [(12, 40), (14, 3)])
+def test_pruned_search_matches_enumeration_on_mixed_fleets(n, count):
+    for (want, _), (got, _) in _mixed_fleet_runs(n, count):
+        _assert_same_solution(got, want)
+
+
+def test_pruned_search_dispatches_a_third_of_the_subsets():
+    # counters, not wall time: 24 twelve-unit fleets, about 28% of the
+    # reference's economic_dispatch calls
+    runs = _mixed_fleet_runs(12, 40)[:24]
+    reference = sum(calls for (_, calls), _ in runs)
+    pruned = sum(calls for _, (_, calls) in runs)
+    assert pruned <= 0.35 * reference
+
+
+def test_pruned_search_keeps_zero_startup_ties():
+    # every subset meets the floor exactly: nothing may be pruned that
+    # the strict-< tie-break would have kept
+    rng = random.Random(8)
+    for _ in range(200):
+        inst = oracles.random_instance(rng, force_zero_w=True, kinds=("linear",))
+        _assert_same_solution(solve_primal(inst), oracles.enumerate_primal(inst))
+    same = [{"id": f"g{k}", "w": 0, "curve": {"linear": 2}, "x_max": 2} for k in range(5)]
+    for demand in (1, 2, 3, 10):
+        inst = make_instance(demand, same)
+        _assert_same_solution(solve_primal(inst), oracles.enumerate_primal(inst))
+
+
+def test_floor_allows_for_demand_left_unserved():
+    # b is 5e-10 MW short of demand, within the feasibility band, and so
+    # costs 1e-9 less than the floor the whole fleet sets by serving all
+    # of it: a floor without that allowance would prune the winner
+    inst = make_instance(
+        1,
+        [
+            {"id": "a", "w": 0, "curve": {"linear": 2}, "x_max": 5},
+            {"id": "b", "w": 1e-10, "curve": {"linear": 2}, "x_max": 1 - 5e-10},
+        ],
+    )
+    sol = solve_primal(inst)
+    _assert_same_solution(sol, oracles.enumerate_primal(inst))
+    assert sol.committed_set == ("b",)
 
 
 def test_solution_shape_invariants():

@@ -198,6 +198,24 @@ def test_sweep_example_one(ex1):
     assert rows[5].error is not None and "demand not positive" in rows[5].error
 
 
+def test_sweep_prices_each_level_without_an_lnmgu_once(ex2, monkeypatch):
+    # levels 10 and 16 have no oversized unit: their capped set is the hull
+    # set, which the sweep reuses instead of pricing the fleet again
+    calls = []
+    original = hullprice.dual_pricing.price_set
+
+    def counted(*args, **kwargs):
+        calls.append(args[1] if len(args) > 1 else kwargs["demand"])
+        return original(*args, **kwargs)
+
+    for module in (hullprice.report, hullprice.mchp):
+        monkeypatch.setattr(module, "price_set", counted)
+    rows = load_sweep(ex2, [1, 4, 10, 16])
+    assert [r.case_tag for r in rows[2:]] == ["no_lnmgu", "no_lnmgu"]
+    assert rows[2].mchp == rows[2].chp and rows[3].mchp == rows[3].chp
+    assert len(calls) == 5
+
+
 def test_sweep_renderings(ex1):
     rows = load_sweep(ex1, [2.0, 6.0, 7.0])
 
@@ -441,3 +459,27 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_a_reimport_leaves_the_previous_package_collectable():
+    """Nothing outside the package (typing's caches, say) holds its old classes."""
+    src = str(Path(hullprice.__file__).resolve().parent.parent)
+    code = f"""
+import gc, sys, weakref
+sys.path.insert(0, {src!r})
+
+def purge():
+    for name in [m for m in sys.modules if m == "hullprice" or m.startswith("hullprice.")]:
+        del sys.modules[name]
+
+import hullprice.cli
+first = [weakref.ref(hullprice.GeneratorSpec), weakref.ref(hullprice.PriceSet)]
+for _ in range(2):
+    purge()
+    import hullprice.cli
+gc.collect()
+print([ref() is None for ref in first])
+"""
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[True, True]"
