@@ -1,14 +1,16 @@
 """Exact centralized dispatch.
 
-Commitment is solved by an exact subset search, pruned by a cost floor.
-Every variable-cost curve starts at c(0) = 0, so no subset serves demand
-for less variable cost than the whole fleet dispatched together; a subset
-whose start-up bill plus that floor exceeds the cheapest schedule found
-so far cannot win and is never dispatched.  Each remaining subset is
-dispatched at the shared marginal price, found exactly from the
-breakpoints of the units' output ceilings: outputs below the price-level
-set are raised, the remaining demand is spread over units indifferent at
-that price.  Start-up costs are added per committed unit after dispatch.
+Commitment is solved by an exact subset search, pruned by a Lagrangian
+bound.  At the whole fleet's marginal price lam, no unit's variable cost
+c(x) falls below lam * x less its best profit at lam, so a subset costs
+at least lam times the demand it must serve plus, per unit, its start-up
+cost less that profit.  A subset whose bound exceeds the cheapest
+schedule found so far cannot win and is never dispatched.  Each
+remaining subset is dispatched at the shared marginal price, found
+exactly from the breakpoints of the units' output ceilings: outputs
+below the price-level set are raised, the remaining demand is spread
+over units indifferent at that price.  Start-up costs are added per
+committed unit after dispatch.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import InfeasibleError, SizeError
 from .market_model import CapacityRule, GeneratorSpec, MarketInstance, PiecewiseLinear, Quadratic
-from .tolerances import COST_FLOOR_SLACK
+from .tolerances import BOUND_SLACK
 
 MAX_GENERATORS = 24
 
@@ -52,12 +54,16 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     piecewise linear in lam, bending or jumping only at linear costs, PWL
     slopes and the two ends of each quadratic ramp.  lam is the first of
     these breakpoints whose ceiling covers demand, or the root of the
-    quadratic ramps' linear piece on the interval just before it.  Units
-    whose capacity is short of demand leave a residual and raise
-    InfeasibleError.
+    quadratic ramps' linear piece on the interval just before it.  A
+    capacity short of demand (``CapacityRule.short``) raises
+    InfeasibleError, and so would dispatch leaving more than
+    ``CapacityRule.tol`` unserved beyond the capacity's own shortfall.
     """
     caps = [g.x_max for g in gens]
     rule = CapacityRule(demand)
+    capacity = sum(caps)
+    if rule.short(capacity):
+        raise InfeasibleError(f"total capacity {capacity} below demand {demand}")
 
     def ceiling(lam: float) -> float:
         return sum(min(g.curve.max_out_at(lam), cap) for g, cap in zip(gens, caps))
@@ -77,7 +83,7 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
             prices.add(curve.a)
     breaks = sorted(prices)
 
-    need = rule.served(sum(caps))
+    need = rule.served(capacity)
     target = need - 1e-12 * max(1.0, abs(demand))
     # first breakpoint whose ceiling reaches the target; past the last one
     # every unit is at capacity
@@ -130,7 +136,9 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
         if add > 0.0:
             outputs[i] += add
             residual -= add
-    if residual > rule.tol:
+    # a capacity up to tol short of demand leaves that much unserved by
+    # right; rounding can put it a few ulps past tol
+    if residual - (demand - need) > rule.tol:
         raise InfeasibleError(
             f"dispatch left {residual} MW unserved at marginal price {lam}"
         )
@@ -145,41 +153,45 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
     committed units, then to the lexicographically first id set.  Subsets
     whose capacity is short of demand are skipped.
 
-    The whole fleet is dispatched once first.  Its variable cost, less
-    its marginal price times the most a subset may leave unserved
-    (``CapacityRule.tol``), is a floor under every subset's variable
-    cost.  A subset whose start-up bill plus the floor exceeds the
-    incumbent by more than ``COST_FLOOR_SLACK`` (rounding) is pruned
-    undispatched; it could not have become the incumbent, so the answer
-    is that of trying every subset.  A fleet short of demand raises
-    InfeasibleError before any subset is tried.
+    The whole fleet is dispatched once first, for its marginal price
+    lam >= 0.  Unit i's profit at lam, pi_i = max over [0, x_max] of
+    lam * x - c_i(x), is earned at x = min(max_out_at(lam), x_max), and
+    c_i(x) >= lam * x - pi_i for every output.  A subset S's capacity may
+    fall ``CapacityRule.tol`` short of demand and its dispatch as much
+    short of its capacity, so it costs at least
+    lam * (demand - 2 tol) + sum over S of (w_i - pi_i).  A subset whose
+    bound exceeds the incumbent by more than ``BOUND_SLACK`` of the
+    magnitudes involved (rounding) is pruned undispatched; it could not
+    have become the incumbent, so the answer is that of trying every
+    subset.  A fleet short of demand raises InfeasibleError before any
+    subset is tried.
     """
     n = len(instance.generators)
     if n > MAX_GENERATORS:
         raise SizeError(f"{n} generators exceed the exhaustive-search limit {MAX_GENERATORS}")
 
-    rule = CapacityRule(instance.demand)
-    capacity = instance.total_capacity
-    if rule.short(capacity):
-        raise InfeasibleError(f"total capacity {capacity} below demand {instance.demand}")
+    demand = instance.demand
+    rule = CapacityRule(demand)
+    _, price = economic_dispatch(instance.generators, demand)
     pool = sorted(instance.generators, key=lambda g: g.id)
-    # no subset serves demand for less variable cost than the whole fleet,
-    # less what it may leave unserved, priced at the fleet's marginal price
-    outputs, lam = economic_dispatch(pool, instance.demand)
-    floor = sum(g.curve.value(x) for g, x in zip(pool, outputs)) - lam * rule.tol
+    tops = [min(g.curve.max_out_at(price), g.x_max) for g in pool]
+    terms = {g.id: g.startup_cost - (price * x - g.curve.value(x)) for g, x in zip(pool, tops)}
+    # a subset's capacity and then its dispatch may each fall tol short
+    served = price * (demand - 2.0 * rule.tol)
+    scale = price * (demand + sum(tops)) + sum(g.startup_cost for g in pool)
+    limit = float("inf")  # prune subsets whose sum of terms exceeds this
     best_cost = float("inf")
     best_combo = None
     best_outputs = None
     best_lambda = 0.0
     for size in range(1, n + 1):
         for combo in itertools.combinations(pool, size):
-            startup_bill = sum(g.startup_cost for g in combo)
-            if startup_bill + floor > best_cost * (1.0 + COST_FLOOR_SLACK):
+            if sum(terms[g.id] for g in combo) > limit:
                 continue
             if rule.short(sum(g.x_max for g in combo)):
                 continue
-            outputs, lam = economic_dispatch(combo, instance.demand)
-            cost = startup_bill + sum(
+            outputs, lam = economic_dispatch(combo, demand)
+            cost = sum(g.startup_cost for g in combo) + sum(
                 g.curve.value(x) for g, x in zip(combo, outputs)
             )
             if cost < best_cost:
@@ -187,6 +199,7 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
                 best_combo = combo
                 best_outputs = outputs
                 best_lambda = lam
+                limit = best_cost + BOUND_SLACK * (scale + best_cost) - served
     if best_combo is None:
         raise InfeasibleError("no committable subset can serve demand")
 

@@ -9,10 +9,18 @@ PRICE_EQ_TOL = 1e-11
 # Slack for comparing MW with demand (MW); see demand_tol.
 FEASIBILITY_TOL = 1e-9
 
-# Relative slack of the commitment search's cost floor: a float sum of at
-# most 24 nonnegative costs is off by at most 23 ulps of its value, and
-# the floor compares two such sums.
-COST_FLOOR_SLACK = 64 * 2.0**-52
+# Relative slack of the commitment search's Lagrangian bound.  At the
+# fleet's marginal price lam, the bound sums lam * (demand - 2 tol) and,
+# per unit, w - (lam * x - c(x)) at the unit's most profitable output x.
+# The terms have mixed signs, so the rounding is relative to their parts,
+# not to the bound: every part is at most
+# scale = lam * (demand + sum of x) + sum of w, as c(x) <= lam * x there.
+# The bound, a subset's cost and the demand it serves each come from sums
+# of at most 24 units' parts and from curve values a few float steps per
+# segment long, so for curves of tens of segments their errors total a
+# few hundred ulps of scale + incumbent.  4096 ulps (2**-40) leaves room
+# for curves of about a thousand segments.
+BOUND_SLACK = 2.0**-40
 
 # How far a settlement price may drift outside the computed price set
 # before it is rejected as stale ($/MWh).

@@ -6,7 +6,7 @@ lower-hull sweep, dispatch from dynamic programming over an output grid
 or from bisection on the marginal price, and price/output searches from
 plain predicate bisection.  Agreement with the package is therefore a
 genuine second opinion, not an echo.  The one exception is
-``enumerate_primal``, the commitment search without its cost floor: it
+``enumerate_primal``, the commitment search without its bound: it
 dispatches with the package's ``economic_dispatch`` on purpose, so that
 any difference from ``solve_primal`` is the pruning's alone.
 """
@@ -404,6 +404,29 @@ def serialize_instance(instance):
         for g in instance.generators
     ]
     return json.dumps({"demand": instance.demand, "generators": gens})
+
+
+def scale_instance(instance, mw, money):
+    """The same fleet in other units: MW times mw and $ times money.
+
+    Dispatch then scales by mw, prices by money / mw, costs and uplifts
+    by money.
+    """
+    price = money / mw
+    spec = json.loads(serialize_instance(instance))
+    spec["demand"] *= mw
+    for g in spec["generators"]:
+        g["w"] *= money
+        g["x_max"] *= mw
+        curve = g["curve"]
+        if "linear" in curve:
+            curve["linear"] *= price
+        elif "quadratic" in curve:
+            curve["quadratic"]["a"] *= price
+            curve["quadratic"]["q"] = curve["quadratic"]["q"] / mw * price
+        else:
+            curve["pwl"] = [[right * mw, slope * price] for right, slope in curve["pwl"]]
+    return parse_instance(json.dumps(spec))
 
 
 # ---------------------------------------------------------- random corpus

@@ -101,8 +101,17 @@ def _checks(err):
     return [line for line in err.splitlines() if line.startswith("check ")]
 
 
-def test_cli_prices_a_unit_just_short_of_demand(tmp_path, capsys):
-    code, out, err = _price(tmp_path, capsys, [SHORT_UNIT])
+@pytest.mark.parametrize(
+    "x_max, demand",
+    [
+        (SHORT_UNIT["x_max"], 1.0),
+        # the full 1e-9 MW short in decimal, a few ulps more in floats
+        (1.006e-06, 1.007e-06),
+    ],
+)
+def test_cli_prices_a_unit_just_short_of_demand(tmp_path, capsys, x_max, demand):
+    unit = dict(SHORT_UNIT, x_max=x_max)
+    code, out, err = _price(tmp_path, capsys, [unit], demand=demand)
     assert code == 0
     assert len(_checks(err)) == 5 and all(line.endswith(": ok") for line in _checks(err))
     hull = json.loads(out)["chp"]["price_set"]
@@ -115,7 +124,7 @@ def test_cli_prices_an_oversized_unit_beside_it(tmp_path, capsys):
 
     This is the present behaviour, not settled economics: dispatch
     commits the regular unit alone at marginal price 2, which would call
-    for ``interval_upper_capped``.  ROADMAP item 4 keeps that open.
+    for ``interval_upper_capped``.  ROADMAP [exact] keeps that open.
     """
     code, out, err = _price(tmp_path, capsys, [SHORT_UNIT, OVERSIZED_UNIT])
     assert code == 0
@@ -146,7 +155,7 @@ def test_cli_prices_a_regular_fleet_short_above_10_mw(tmp_path, capsys):
     assert report["mchp"]["case"] == "lnmgu_marginal"
     assert report["mchp"]["price_set"] == {"lo": 11.0, "hi": 11.0, "unbounded_above": False}
     # the hull's crossing forgives the shortfall, so the margin-epsilon
-    # set starts at 2 and limit_consistent_with_eps fails (ROADMAP item 4)
+    # set starts at 2 and limit_consistent_with_eps fails (ROADMAP [curve])
     others = [line for line in _checks(err) if "limit_consistent_with_eps" not in line]
     assert len(others) == 4 and all(line.endswith(": ok") for line in others)
 

@@ -93,35 +93,12 @@ def test_total_uplift_equals_gap_to_rounding():
         assert abs(rep.gap - rep.total_uplift) <= 1e-12 * max(1.0, abs(sol.total_cost))
 
 
-def _scale(instance, mw, money):
-    """The same fleet in other units: MW times mw and $ times money.
-
-    Dispatch then scales by mw, prices by money / mw, costs and uplifts
-    by money.
-    """
-    price = money / mw
-    spec = json.loads(oracles.serialize_instance(instance))
-    spec["demand"] *= mw
-    for g in spec["generators"]:
-        g["w"] *= money
-        g["x_max"] *= mw
-        curve = g["curve"]
-        if "linear" in curve:
-            curve["linear"] *= price
-        elif "quadratic" in curve:
-            curve["quadratic"]["a"] *= price
-            curve["quadratic"]["q"] = curve["quadratic"]["q"] / mw * price
-        else:
-            curve["pwl"] = [[right * mw, slope * price] for right, slope in curve["pwl"]]
-    return parse_instance(json.dumps(spec))
-
-
 def test_fleets_at_megawatt_millions_price_and_pass_checks():
     """At demand near 5e6 MW one float step of demand is about 1e-9 MW,
     so the unserved-dispatch bound has to scale with demand."""
     rng = random.Random(1)
     for _ in range(400):
-        rep = run_pipeline(_scale(oracles.random_instance(rng), 1e6, 1e6))
+        rep = run_pipeline(oracles.scale_instance(oracles.random_instance(rng), 1e6, 1e6))
         assert rep.checks.passed
 
 
@@ -135,7 +112,8 @@ def test_every_check_passes_in_any_units(mw, money):
     rng = random.Random(1)
     failed = []
     for k in range(100):
-        checks = run_pipeline(_scale(oracles.random_instance(rng), mw, money)).checks
+        inst = oracles.scale_instance(oracles.random_instance(rng), mw, money)
+        checks = run_pipeline(inst).checks
         if not checks.passed:
             failed.append((k, checks))
     assert failed == []
