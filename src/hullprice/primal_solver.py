@@ -56,8 +56,9 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     these breakpoints whose ceiling covers demand, or the root of the
     quadratic ramps' linear piece on the interval just before it.  A
     capacity short of demand (``CapacityRule.short``) raises
-    InfeasibleError, and so would dispatch leaving more than
-    ``CapacityRule.tol`` unserved beyond the capacity's own shortfall.
+    InfeasibleError; a capacity below demand but not short of it runs
+    every unit at capacity, and a dispatch whose outputs still fall short
+    raises too.
     """
     caps = [g.x_max for g in gens]
     rule = CapacityRule(demand)
@@ -114,6 +115,10 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
             if root < lam:
                 lam, marginal = root, active
 
+    if need < demand:
+        # capacity not short of demand but below it: every unit runs flat out
+        return list(caps), lam
+
     # base outputs are the least, headroom the most each unit can give at
     # lam; the residual goes to units with room, in order.  A marginal ramp
     # can move by more than the residual tolerance over one float step of
@@ -136,9 +141,7 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
         if add > 0.0:
             outputs[i] += add
             residual -= add
-    # a capacity up to tol short of demand leaves that much unserved by
-    # right; rounding can put it a few ulps past tol
-    if residual - (demand - need) > rule.tol:
+    if rule.short(demand - residual):
         raise InfeasibleError(
             f"dispatch left {residual} MW unserved at marginal price {lam}"
         )
@@ -156,10 +159,9 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
     The whole fleet is dispatched once first, for its marginal price
     lam >= 0.  Unit i's profit at lam, pi_i = max over [0, x_max] of
     lam * x - c_i(x), is earned at x = min(max_out_at(lam), x_max), and
-    c_i(x) >= lam * x - pi_i for every output.  A subset S's capacity may
-    fall ``CapacityRule.tol`` short of demand and its dispatch as much
-    short of its capacity, so it costs at least
-    lam * (demand - 2 tol) + sum over S of (w_i - pi_i).  A subset whose
+    c_i(x) >= lam * x - pi_i for every output.  A subset S's dispatch
+    may serve ``CapacityRule.tol`` less than demand, so it costs at least
+    lam * (demand - tol) + sum over S of (w_i - pi_i).  A subset whose
     bound exceeds the incumbent by more than ``BOUND_SLACK`` of the
     magnitudes involved (rounding) is pruned undispatched; it could not
     have become the incumbent, so the answer is that of trying every
@@ -176,8 +178,8 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
     pool = sorted(instance.generators, key=lambda g: g.id)
     tops = [min(g.curve.max_out_at(price), g.x_max) for g in pool]
     terms = {g.id: g.startup_cost - (price * x - g.curve.value(x)) for g, x in zip(pool, tops)}
-    # a subset's capacity and then its dispatch may each fall tol short
-    served = price * (demand - 2.0 * rule.tol)
+    # a subset's dispatch may fall tol short of demand
+    served = price * (demand - rule.tol)
     scale = price * (demand + sum(tops)) + sum(g.startup_cost for g in pool)
     limit = float("inf")  # prune subsets whose sum of terms exceeds this
     best_cost = float("inf")

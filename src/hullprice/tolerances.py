@@ -10,7 +10,7 @@ PRICE_EQ_TOL = 1e-11
 FEASIBILITY_TOL = 1e-9
 
 # Relative slack of the commitment search's Lagrangian bound.  At the
-# fleet's marginal price lam, the bound sums lam * (demand - 2 tol) and,
+# fleet's marginal price lam, the bound sums lam * (demand - tol) and,
 # per unit, w - (lam * x - c(x)) at the unit's most profitable output x.
 # The terms have mixed signs, so the rounding is relative to their parts,
 # not to the bound: every part is at most
