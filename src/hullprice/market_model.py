@@ -23,6 +23,7 @@ endpoint must equal x_max.
 
 import json
 import math
+import sys
 from typing import NamedTuple
 
 from .errors import InfeasibleError, SchemaError, ValidationError
@@ -243,6 +244,8 @@ def read_instance(text: str) -> MarketInstance:
         gid = entry["id"]
         if not isinstance(gid, str) or not gid:
             raise SchemaError(f"generators[{k}]: id must be a nonempty string")
+        # instances of one fleet, such as its periods, share their id strings
+        gid = sys.intern(gid)
         x_max = _require_number(entry["x_max"], f"{gid}: x_max")
         gens.append(
             GeneratorSpec(

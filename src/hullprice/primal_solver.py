@@ -56,9 +56,9 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     these breakpoints whose ceiling covers demand, or the root of the
     quadratic ramps' linear piece on the interval just before it.  A
     capacity short of demand (``CapacityRule.short``) raises
-    InfeasibleError; a capacity below demand but not short of it runs
-    every unit at capacity, and a dispatch whose outputs still fall short
-    raises too.
+    InfeasibleError.  A capacity below demand but not short of it runs
+    every unit at capacity.  Any other dispatch whose outputs fall short
+    of demand in the same sense raises InfeasibleError too.
     """
     caps = [g.x_max for g in gens]
     rule = CapacityRule(demand)
