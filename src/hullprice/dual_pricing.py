@@ -112,6 +112,7 @@ def price_set(
     is the capacity, which reaches the lower crossing unless the fleet is
     short and passes the upper one unless the set is a ray.
     """
+    gens = tuple(gens)
     caps = _resolve_caps(gens, caps)
     capacity = sum(min(cap, g.x_max) for g, cap in zip(gens, caps))
     rule = CapacityRule(demand)

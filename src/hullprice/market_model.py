@@ -24,6 +24,8 @@ endpoint must equal x_max.
 import json
 import math
 import sys
+from array import array
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .errors import InfeasibleError, SchemaError, ValidationError
@@ -149,12 +151,78 @@ class GeneratorSpec(NamedTuple):
 
 
 class MarketInstance(NamedTuple):
+    """Demand and a sequence of GeneratorSpec: a tuple, or a Fleet when parsed."""
+
     demand: float
-    generators: tuple
+    generators: Sequence
 
     @property
     def total_capacity(self) -> float:
         return sum(g.x_max for g in self.generators)
+
+
+class Fleet(Sequence):
+    """Generators stored packed: ids, curve shapes and one array of numbers.
+
+    A number takes 8 bytes here instead of a float object and the slot
+    that holds it, so a held instance of twelve units takes about a
+    quarter of the memory of its GeneratorSpecs.  Iterating builds fresh
+    GeneratorSpecs equal to those packed, so a caller that walks the
+    units more than once takes ``tuple(fleet)`` first.  A Fleet equals a
+    tuple of the same GeneratorSpecs.
+    """
+
+    __slots__ = ("_ids", "_sizes", "_numbers")
+
+    def __init__(self, generators):
+        ids, sizes, numbers = [], [], []
+        for g in generators:
+            curve = g.curve
+            if isinstance(curve, PiecewiseLinear):
+                values = [v for segment in curve.segments for v in segment]
+                sizes.append(-len(curve.segments))
+            else:
+                values = list(curve)  # (a, domain_max) or (a, q, domain_max)
+                sizes.append(len(values))
+            ids.append(g.id)
+            numbers += (g.startup_cost, g.x_max, *values)
+        self._ids = tuple(ids)
+        # curve numbers per unit, negated for a pwl curve
+        self._sizes = tuple(sizes)
+        self._numbers = array("d", numbers)
+
+    def __iter__(self):
+        numbers = self._numbers.tolist()
+        k = 0
+        for gid, size in zip(self._ids, self._sizes):
+            startup_cost, x_max = numbers[k], numbers[k + 1]
+            k += 2
+            if size < 0:
+                end = k - 2 * size
+                flat = numbers[k:end]
+                curve = PiecewiseLinear(tuple(zip(flat[0::2], flat[1::2])))
+            else:
+                end = k + size
+                curve = (Linear if size == 2 else Quadratic)(*numbers[k:end])
+            k = end
+            yield GeneratorSpec(gid, startup_cost, curve, x_max)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, Fleet)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Fleet({tuple(self)!r})"
 
 
 def _require_number(value, where: str) -> float:
@@ -213,8 +281,9 @@ def parse_instance(text: str) -> MarketInstance:
 def read_instance(text: str) -> MarketInstance:
     """Parse an instance from JSON text, checking the schema only.
 
-    Raises SchemaError for malformed or mistyped input; the model
-    invariants are left to check_instance.
+    The generators come back as a Fleet.  Raises SchemaError for
+    malformed or mistyped input; the model invariants are left to
+    check_instance.
     """
     try:
         raw = json.loads(text, parse_constant=_reject_constant)
@@ -256,7 +325,7 @@ def read_instance(text: str) -> MarketInstance:
             )
         )
 
-    return MarketInstance(demand=demand, generators=tuple(gens))
+    return MarketInstance(demand=demand, generators=Fleet(gens))
 
 
 def _curve_violations(g: GeneratorSpec):
@@ -364,8 +433,9 @@ def _order(finding):
 
 def _findings(instance: MarketInstance):
     """``validate_instance`` as sorted (generator id, rule, message) triples."""
-    found = _demand_findings(instance.demand, instance.generators)
-    found += _fleet_findings(instance.generators)
+    gens = tuple(instance.generators)
+    found = _demand_findings(instance.demand, gens)
+    found += _fleet_findings(gens)
     found.sort(key=_order)
     return found
 

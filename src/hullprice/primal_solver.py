@@ -60,6 +60,7 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     every unit at capacity.  Any other dispatch whose outputs fall short
     of demand in the same sense raises InfeasibleError too.
     """
+    gens = tuple(gens)
     caps = [g.x_max for g in gens]
     rule = CapacityRule(demand)
     capacity = sum(caps)
@@ -168,14 +169,15 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
     subset.  A fleet short of demand raises InfeasibleError before any
     subset is tried.
     """
-    n = len(instance.generators)
+    gens = tuple(instance.generators)
+    n = len(gens)
     if n > MAX_GENERATORS:
         raise SizeError(f"{n} generators exceed the exhaustive-search limit {MAX_GENERATORS}")
 
     demand = instance.demand
     rule = CapacityRule(demand)
-    _, price = economic_dispatch(instance.generators, demand)
-    pool = sorted(instance.generators, key=lambda g: g.id)
+    _, price = economic_dispatch(gens, demand)
+    pool = sorted(gens, key=lambda g: g.id)
     tops = [min(g.curve.max_out_at(price), g.x_max) for g in pool]
     terms = {g.id: g.startup_cost - (price * x - g.curve.value(x)) for g, x in zip(pool, tops)}
     # a subset's dispatch may fall tol short of demand
@@ -208,7 +210,7 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
     by_id = {g.id: x for g, x in zip(best_combo, best_outputs)}
     schedule = tuple(
         ScheduleEntry(id=g.id, on=g.id in by_id, output=by_id.get(g.id, 0.0))
-        for g in instance.generators
+        for g in gens
     )
     committed = tuple(e.id for e in schedule if e.on)
 

@@ -52,6 +52,9 @@ def run_pipeline(instance: MarketInstance, price_representative: str = "lo") -> 
     ``check_instance`` raises; errors of the later stages propagate with
     the failing stage prepended to the message.
     """
+    # one set of unit objects for every stage (a Fleet builds them anew on
+    # each pass)
+    instance = instance._replace(generators=tuple(instance.generators))
     check_instance(instance)
 
     with _stage("dispatch"):
@@ -222,6 +225,7 @@ def load_sweep(instance: MarketInstance, demands: Sequence[float]) -> list[Sweep
     ValidationError; infeasible or invalid demand levels produce a row
     with the error message instead of price sets.
     """
+    instance = instance._replace(generators=tuple(instance.generators))
     check_fleet(instance.generators)
     rows = []
     for d in map(float, demands):
@@ -229,7 +233,7 @@ def load_sweep(instance: MarketInstance, demands: Sequence[float]) -> list[Sweep
         if violations:
             rows.append(SweepRow(d, None, None, None, "; ".join(violations)))
             continue
-        chp = price_set(list(instance.generators), d)
+        chp = price_set(instance.generators, d)
         mchp_set, tag = mchp_price_set_limit(instance._replace(demand=d), chp)
         rows.append(SweepRow(d, chp, mchp_set, tag))
     return rows

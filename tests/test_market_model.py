@@ -1,8 +1,10 @@
 """Schema parsing, validation and JSON round trips."""
 
+import gc
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from hullprice import (
     parse_instance,
     validate_instance,
 )
+from hullprice.market_model import Fleet
 
 import oracles
 from conftest import EX1_JSON
@@ -203,3 +206,49 @@ def test_total_capacity(ex2):
 
 def test_ex1_json_matches_fixture(ex1):
     assert parse_instance(json.dumps(EX1_JSON)) == ex1
+
+
+def test_fleet_unpacks_to_the_generators_it_packs():
+    rng = random.Random(77)
+    for _ in range(40):
+        gens = tuple(oracles.random_instance(rng).generators)
+        fleet = Fleet(gens)
+        assert tuple(fleet) == gens and fleet == gens and gens == fleet
+        assert [type(g.curve) for g in fleet] == [type(g.curve) for g in gens]
+        assert len(fleet) == len(gens) and fleet[-1] == gens[-1] and fleet[1:] == gens[1:]
+        assert hash(fleet) == hash(gens)
+        assert fleet != list(gens)
+    # every float comes back bit for bit, the sign of zero included
+    edge = (
+        GeneratorSpec("z", -0.0, Linear(5e-324, 1.7976931348623157e308), 1.7976931348623157e308),
+        GeneratorSpec("p", 0.1, PiecewiseLinear(((1e-300, -0.0), (2.0, 0.3))), 2.0),
+        GeneratorSpec("q", 1.0, Quadratic(0.0, 1e-12, 3.0), 3.0),
+    )
+    back = tuple(Fleet(edge))
+    assert back == edge
+    assert math.copysign(1.0, back[0].startup_cost) == -1.0
+    assert math.copysign(1.0, back[1].curve.segments[0][1]) == -1.0
+
+
+def test_parsed_instance_holds_its_units_packed():
+    texts = [oracles.serialize_instance(oracles.mixed_fleet(random.Random(k), 12)) for k in range(40)]
+
+    def held_bytes(make):
+        [make(text) for text in texts]  # leaves one-time allocations out
+        tracemalloc.start()
+        try:
+            gc.collect()  # a full collection also empties the free lists
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [make(text) for text in texts]
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def unpacked(text):
+        inst = parse_instance(text)
+        return inst._replace(generators=tuple(inst.generators))
+
+    assert isinstance(parse_instance(texts[0]).generators, Fleet)
+    # measured 0.26
+    assert held_bytes(parse_instance) < 0.35 * held_bytes(unpacked)
