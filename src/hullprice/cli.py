@@ -16,6 +16,7 @@ commitment search takes (``primal_solver.MAX_GENERATORS``).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 
@@ -44,6 +45,9 @@ def _parse_sweep(arg: str):
         raise argparse.ArgumentTypeError(f"bad sweep grid {arg!r}: {exc}")
     if not values:
         raise argparse.ArgumentTypeError("sweep grid is empty")
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise argparse.ArgumentTypeError(f"bad sweep grid {arg!r}: {bad[0]} is not finite")
     return values
 
 

@@ -1,11 +1,14 @@
 """Exact centralized dispatch.
 
-Commitment is solved by an exact subset search, pruned by a Lagrangian
-bound.  At the whole fleet's marginal price lam, no unit's variable cost
-c(x) falls below lam * x less its best profit at lam, so a subset costs
-at least lam times the demand it must serve plus, per unit, its start-up
-cost less that profit.  A subset whose bound exceeds the cheapest
-schedule found so far cannot win and is never dispatched.  Each
+Commitment is solved by a branch-and-bound walk of the subset tree,
+pruned by Lagrangian bounds.  At a price p, no unit's variable cost c(x)
+falls below p * x less its best profit at p, so a subset costs at least
+p times the demand it must serve plus, per unit, its start-up cost less
+that profit.  Below a node of the tree, the cheapest subset's bound is
+the prefix's terms plus the smallest terms still open, and the bound is
+taken at the whole fleet's marginal price and at each incumbent's.  A
+node whose bound exceeds the cheapest schedule found so far, or whose
+largest reachable capacity is short of demand, is never entered.  Each
 remaining subset is dispatched at the shared marginal price, found
 exactly from the breakpoints of the units' output ceilings: outputs
 below the price-level set are raised, the remaining demand is spread
@@ -149,6 +152,41 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     return outputs, lam
 
 
+def _suffix_sums(values: Sequence[float], reverse: bool = False) -> list[list[float]]:
+    """``sums[j][k]``: the sum of the k smallest (``reverse``: largest) of values[j:]."""
+    return [
+        list(itertools.accumulate(sorted(values[j:], reverse=reverse), initial=0.0))
+        for j in range(len(values) + 1)
+    ]
+
+
+class _PriceBound:
+    """The commitment search's Lagrangian bound at one price (see ``solve_primal``).
+
+    ``terms`` holds each pool unit's w - pi(p), ``least[j][k]`` the k
+    smallest of terms[j:], and ``sums[depth]`` the terms of the search
+    path's first ``depth`` units.  A node whose term sums exceed
+    ``limit`` holds no subset cheaper than the incumbent.
+    """
+
+    __slots__ = ("price", "terms", "least", "sums", "offset", "limit")
+
+    def __init__(
+        self, pool: Sequence[GeneratorSpec], price: float, rule: CapacityRule, path: Sequence[int]
+    ):
+        tops = [min(g.curve.max_out_at(price), g.x_max) for g in pool]
+        self.price = price
+        self.terms = [g.startup_cost - (price * x - g.curve.value(x)) for g, x in zip(pool, tops)]
+        self.least = _suffix_sums(self.terms)
+        self.sums = [0.0] * (len(pool) + 1)
+        for depth, i in enumerate(path):
+            self.sums[depth + 1] = self.sums[depth] + self.terms[i]
+        scale = price * (rule.demand + sum(tops)) + sum(g.startup_cost for g in pool)
+        # rounding room, less what a dispatch tol short of demand must pay
+        self.offset = 2.0 * BOUND_SLACK * scale - price * (rule.demand - rule.tol)
+        self.limit = math.inf
+
+
 def solve_primal(instance: MarketInstance) -> DispatchSolution:
     """Globally optimal commitment and dispatch.
 
@@ -157,17 +195,27 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
     committed units, then to the lexicographically first id set.  Subsets
     whose capacity is short of demand are skipped.
 
-    The whole fleet is dispatched once first, for its marginal price
-    lam >= 0.  Unit i's profit at lam, pi_i = max over [0, x_max] of
-    lam * x - c_i(x), is earned at x = min(max_out_at(lam), x_max), and
-    c_i(x) >= lam * x - pi_i for every output.  A subset S's dispatch
-    may serve ``CapacityRule.tol`` less than demand, so it costs at least
-    lam * (demand - tol) + sum over S of (w_i - pi_i).  A subset whose
-    bound exceeds the incumbent by more than ``BOUND_SLACK`` of the
-    magnitudes involved (rounding) is pruned undispatched; it could not
-    have become the incumbent, so the answer is that of trying every
-    subset.  A fleet short of demand raises InfeasibleError before any
-    subset is tried.
+    For each size the search walks the tree of sorted-id combinations
+    depth first.  A node has chosen a prefix and must choose ``left``
+    more units from those after it; the leaves come in the order of
+    trying every subset, and each leaf's sums run left to right.  Unit
+    i's profit at a price p >= 0, pi_i(p) = max over [0, x_max] of
+    p * x - c_i(x), is earned at x = min(max_out_at(p), x_max), and
+    c_i(x) >= p * x - pi_i(p) for every output.  A subset S's dispatch
+    may serve ``CapacityRule.tol`` less than demand, so at every p it
+    costs at least p * (demand - tol) + sum over S of (w_i - pi_i(p)).
+    Every subset below a node thus costs at least p * (demand - tol)
+    plus the prefix's terms plus the ``left`` smallest terms after it.
+    The prices p are the whole fleet's marginal price, dispatched once
+    first, and each incumbent's.  A node is skipped when that bound at
+    any of them exceeds the incumbent by more than ``BOUND_SLACK`` of
+    the incumbent and of 2 * scale(p), with scale(p) = p * (demand +
+    sum of the units' profitable outputs) + sum of w (rounding).  It is
+    also skipped when the prefix's capacity plus the ``left`` largest
+    after it, widened by ``BOUND_SLACK`` of itself, is short of demand.
+    A skipped subset could not have become the incumbent, so the answer
+    is that of trying every subset.  A fleet short of demand raises
+    InfeasibleError before any subset is tried.
     """
     gens = tuple(instance.generators)
     n = len(gens)
@@ -176,37 +224,55 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
 
     demand = instance.demand
     rule = CapacityRule(demand)
-    _, price = economic_dispatch(gens, demand)
+    _, fleet_price = economic_dispatch(gens, demand)
     pool = sorted(gens, key=lambda g: g.id)
-    tops = [min(g.curve.max_out_at(price), g.x_max) for g in pool]
-    terms = {g.id: g.startup_cost - (price * x - g.curve.value(x)) for g, x in zip(pool, tops)}
-    # a subset's dispatch may fall tol short of demand
-    served = price * (demand - rule.tol)
-    scale = price * (demand + sum(tops)) + sum(g.startup_cost for g in pool)
-    limit = float("inf")  # prune subsets whose sum of terms exceeds this
-    best_cost = float("inf")
-    best_combo = None
-    best_outputs = None
-    best_lambda = 0.0
+    caps = [g.x_max for g in pool]
+    most_caps = _suffix_sums(caps, reverse=True)
+    room = 1.0 + BOUND_SLACK
+    path = []  # pool indices of the current node's prefix
+    bounds = [_PriceBound(pool, fleet_price, rule, path)]
+    best_cost = math.inf
+    best = None
+
+    def walk(start, left, cap):
+        # the subsets that extend path by `left` units of pool[start:]
+        nonlocal best_cost, best
+        depth = len(path)
+        for j in range(start, n - left + 1):
+            # both bounds only grow as j moves right
+            for b in bounds:
+                if b.sums[depth] + b.least[j][left] > b.limit:
+                    return
+            if rule.short((cap + most_caps[j][left]) * room):
+                return
+            for b in bounds:
+                b.sums[depth + 1] = b.sums[depth] + b.terms[j]
+            path.append(j)
+            if left > 1:
+                walk(j + 1, left - 1, cap + caps[j])
+            elif not rule.short(cap + caps[j]) and all(
+                b.sums[depth + 1] <= b.limit for b in bounds
+            ):
+                combo = [pool[i] for i in path]
+                outputs, lam = economic_dispatch(combo, demand)
+                cost = sum(g.startup_cost for g in combo) + sum(
+                    g.curve.value(x) for g, x in zip(combo, outputs)
+                )
+                if cost < best_cost:
+                    best_cost = cost
+                    best = (combo, outputs, lam)
+                    if all(b.price != lam for b in bounds):
+                        bounds.append(_PriceBound(pool, lam, rule, path))
+                    for b in bounds:
+                        b.limit = best_cost * room + b.offset
+            path.pop()
+
     for size in range(1, n + 1):
-        for combo in itertools.combinations(pool, size):
-            if sum(terms[g.id] for g in combo) > limit:
-                continue
-            if rule.short(sum(g.x_max for g in combo)):
-                continue
-            outputs, lam = economic_dispatch(combo, demand)
-            cost = sum(g.startup_cost for g in combo) + sum(
-                g.curve.value(x) for g, x in zip(combo, outputs)
-            )
-            if cost < best_cost:
-                best_cost = cost
-                best_combo = combo
-                best_outputs = outputs
-                best_lambda = lam
-                limit = best_cost + BOUND_SLACK * (scale + best_cost) - served
-    if best_combo is None:
+        walk(0, size, 0.0)
+    if best is None:
         raise InfeasibleError("no committable subset can serve demand")
 
+    best_combo, best_outputs, best_lambda = best
     by_id = {g.id: x for g, x in zip(best_combo, best_outputs)}
     schedule = tuple(
         ScheduleEntry(id=g.id, on=g.id in by_id, output=by_id.get(g.id, 0.0))

@@ -9,17 +9,19 @@ PRICE_EQ_TOL = 1e-11
 # Slack for comparing MW with demand (MW); see demand_tol.
 FEASIBILITY_TOL = 1e-9
 
-# Relative slack of the commitment search's Lagrangian bound.  At the
-# fleet's marginal price lam, the bound sums lam * (demand - tol) and,
-# per unit, w - (lam * x - c(x)) at the unit's most profitable output x.
-# The terms have mixed signs, so the rounding is relative to their parts,
-# not to the bound: every part is at most
-# scale = lam * (demand + sum of x) + sum of w, as c(x) <= lam * x there.
+# Relative slack of the commitment search's Lagrangian bounds.  At a
+# price p, the bound sums p * (demand - tol) and, per unit,
+# w - (p * x - c(x)) at the unit's most profitable output x.  The terms
+# have mixed signs, so the rounding is relative to their parts, not to
+# the bound: every part is at most
+# scale(p) = p * (demand + sum of x) + sum of w, as c(x) <= p * x there.
 # The bound, a subset's cost and the demand it serves each come from sums
 # of at most 24 units' parts and from curve values a few float steps per
 # segment long, so for curves of tens of segments their errors total a
-# few hundred ulps of scale + incumbent.  4096 ulps (2**-40) leaves room
-# for curves of about a thousand segments.
+# few hundred ulps of scale(p) + incumbent.  A node of the search sums
+# its terms in another order than its leaves do, so it gets one more
+# scale(p), and a node's capacity bound one part of itself.  4096 ulps
+# (2**-40) leaves room for curves of about a thousand segments.
 BOUND_SLACK = 2.0**-40
 
 # How far a settlement price may drift outside the computed price set

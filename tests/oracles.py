@@ -1,10 +1,11 @@
-"""Slow independent oracles: output grids, DP enumeration, bisection.
+"""Slow independent oracles: output grids, DP enumeration, bisection, MILP.
 
 Nothing here reuses the package's pricing logic.  Curve values and slopes
 are recomputed from the record fields, hulls come from a geometric
 lower-hull sweep, dispatch from dynamic programming over an output grid
-or from bisection on the marginal price, and price/output searches from
-plain predicate bisection.  Agreement with the package is therefore a
+or from bisection on the marginal price, commitment of linear/PWL fleets
+from a mixed-integer program, and price/output searches from plain
+predicate bisection.  Agreement with the package is therefore a
 genuine second opinion, not an echo.  The one exception is
 ``enumerate_primal``, the commitment search without its bound: it
 dispatches with the package's ``economic_dispatch`` on purpose, so that
@@ -324,6 +325,60 @@ def enumerate_primal(instance):
     )
 
 
+def milp_primal(instance):
+    """Least total cost of a linear/PWL fleet, by MILP (SciPy's HiGHS).
+
+    Each unit has a binary u, and each of its segments an output
+    0 <= y_k <= len_k * u; the outputs sum to demand, and the cost is
+    w * u + sum of s_k * y_k.  Slopes are nondecreasing, so an optimum
+    fills each unit's segments in order and the program is the exact
+    commitment problem.  HiGHS works to about 1e-7 MW of feasibility.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    cost, upper, integrality = [], [], []
+    links = []  # (u column, y column, segment length)
+    for g in instance.generators:
+        if isinstance(g.curve, Linear):
+            segments = ((g.x_max, g.curve.a),)
+        elif isinstance(g.curve, PiecewiseLinear):
+            segments = g.curve.segments
+        else:
+            raise ValueError(f"{g.id}: milp_primal takes linear and PWL units only")
+        u = len(cost)
+        cost.append(g.startup_cost)
+        upper.append(1.0)
+        integrality.append(1)
+        left = 0.0
+        for right, slope in segments:
+            right = min(right, g.x_max)
+            if right > left:
+                links.append((u, len(cost), right - left))
+                cost.append(slope)
+                upper.append(right - left)
+                integrality.append(0)
+            left = right
+
+    rows = np.zeros((1 + len(links), len(cost)))
+    for r, (u, y, length) in enumerate(links, 1):
+        rows[0, y] = 1.0
+        rows[r, y] = 1.0
+        rows[r, u] = -length
+    lo = np.full(len(rows), -np.inf)
+    hi = np.zeros(len(rows))
+    lo[0] = hi[0] = instance.demand
+    res = milp(
+        cost,
+        constraints=LinearConstraint(rows, lo, hi),
+        integrality=integrality,
+        bounds=Bounds(0.0, upper),
+        options={"mip_rel_gap": 1e-12},
+    )
+    if not res.success:
+        raise RuntimeError(f"milp_primal: {res.message}")
+    return res.fun
+
+
 def level_set_price_interval(gens, demand, caps=None, width=1e-12):
     """Marginal-price interval of economic dispatch, from level sets.
 
@@ -486,8 +541,8 @@ def random_instance(rng, allow_ray=True, force_zero_w=False, kinds=("linear", "q
     return parse_instance(json.dumps({"demand": demand, "generators": gens}))
 
 
-def mixed_fleet(rng, n):
-    """n units of the three curve kinds, demand at 50-55% of capacity.
+def mixed_fleet(rng, n, kinds=("linear", "quadratic", "pwl")):
+    """n units of the curve ``kinds`` in turn, demand at 50-55% of capacity.
 
     Capacities lie in [3, 9] MW and one unit in ten has no start-up cost:
     the shape of the 12-unit dispatch benchmark fleets.  Values sit on the
@@ -497,10 +552,10 @@ def mixed_fleet(rng, n):
     def milli(lo, hi):
         return rng.randint(int(lo * 1000), int(hi * 1000)) / 1000.0
 
-    kinds = [("linear", "quadratic", "pwl")[k % 3] for k in range(n)]
-    rng.shuffle(kinds)
+    unit_kinds = [kinds[k % len(kinds)] for k in range(n)]
+    rng.shuffle(unit_kinds)
     gens = []
-    for k, kind in enumerate(kinds):
+    for k, kind in enumerate(unit_kinds):
         x_max = milli(3.0, 9.0)
         if kind == "linear":
             curve = {"linear": milli(0.5, 5.0)}

@@ -309,13 +309,35 @@ def test_pruned_search_matches_enumeration_on_mixed_fleets(n, count):
         _assert_matches_enumeration(inst, UNITS[1:])
 
 
-def test_pruned_search_dispatches_at_most_6_percent_of_the_subsets():
-    # counters, not wall time: 24 twelve-unit fleets, about 3.9% of the
+def test_pruned_search_dispatches_at_most_1_percent_of_the_subsets():
+    # counters, not wall time: 24 twelve-unit fleets, about 0.5% of the
     # reference's economic_dispatch calls
     runs = _mixed_fleet_runs(12, 40)[:24]
     reference = sum(calls for _, (_, calls), _ in runs)
     pruned = sum(calls for _, _, (_, calls) in runs)
-    assert pruned <= 0.06 * reference
+    assert pruned <= 0.01 * reference
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_pruned_search_dispatch_count_on_large_fleets(n):
+    # counters, not wall time: of 2**n - 1 subsets, at most 43 are
+    # dispatched per solve on these fleets
+    rng = random.Random(f"large/{n}")
+    for _ in range(10):
+        _, calls = _counted_solve(solve_primal, oracles.mixed_fleet(rng, n))
+        assert calls <= 200
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_pruned_search_matches_milp_on_large_fleets(n):
+    # beyond n=14 the enumeration is too slow to serve as the reference
+    pytest.importorskip("scipy")
+    rng = random.Random(f"milp/{n}")
+    for _ in range(10):
+        inst = oracles.mixed_fleet(rng, n, kinds=("linear", "pwl"))
+        got = solve_primal(inst).total_cost
+        want = oracles.milp_primal(inst)
+        assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
 
 def test_pruned_search_keeps_zero_startup_ties():

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from hullprice import (
     UnknownFormatError,
     default_epsilon,
     parse_instance,
+    primal_solver,
     load_sweep,
     render_report,
     render_sweep,
@@ -23,6 +25,7 @@ from hullprice import (
 )
 from hullprice.cli import main
 
+import oracles
 from conftest import EX1_JSON, EX2_JSON, EX3_JSON, EX4_JSON, EX5_JSON, LARGE_MW_FLEET, make_instance
 
 
@@ -311,6 +314,17 @@ def test_cli_sweep(ex1_file, capsys):
     assert "demand 9.0:" in err
 
 
+@pytest.mark.parametrize("grid", ["nan,2", "inf,2", "2,-inf"])
+def test_cli_sweep_rejects_a_non_finite_level(ex1_file, capsys, grid):
+    # a NaN level would render as "demand": NaN, which is not JSON
+    with pytest.raises(SystemExit) as exc:
+        main([ex1_file, "--sweep", grid, "--format", "json"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "is not finite" in err
+
+
 FOUR_MW_FLEET = [
     {"id": "a", "w": 1, "curve": {"linear": 2}, "x_max": 2},
     {"id": "b", "w": 0, "curve": {"linear": 3}, "x_max": 2},
@@ -383,6 +397,16 @@ def test_cli_fleet_beyond_the_search_limit_exits_4(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "[dispatch] 25 generators exceed the exhaustive-search limit 24" in err
+
+
+def test_cli_prices_a_fleet_at_the_search_limit(tmp_path, capsys):
+    inst = oracles.mixed_fleet(random.Random("cli/24"), primal_solver.MAX_GENERATORS)
+    path = tmp_path / "fleet.json"
+    path.write_text(oracles.serialize_instance(inst))
+    assert main([str(path)]) == 0
+    checks = [line for line in capsys.readouterr().err.splitlines() if line.startswith("check ")]
+    assert len(checks) == 5
+    assert all(line.endswith(": ok") for line in checks)
 
 
 def test_cli_large_mw_ray_prices_cleanly(tmp_path, capsys):
