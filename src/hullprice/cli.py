@@ -51,6 +51,23 @@ def _parse_sweep(arg: str):
     return values
 
 
+def _bind_sweep(argv: Sequence[str]) -> list[str]:
+    """Write ``--sweep GRID``, or ``--sw GRID`` and the like, as ``--sweep=GRID``.
+
+    argparse reads a token that starts with a minus sign, and is not one
+    plain negative number, as an option, so ``--sweep -1,2`` or
+    ``--sweep -inf`` would stop at "expected one argument" before
+    ``_parse_sweep`` saw the grid.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and len(out[-1]) > 2 and "--sweep".startswith(out[-1]) and not tok.startswith("--"):
+            out[-1] = f"--sweep={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="price",
@@ -81,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_bind_sweep(sys.argv[1:] if argv is None else argv))
 
     try:
         with open(args.instance, "r", encoding="utf-8") as fh:

@@ -101,7 +101,11 @@ def _price_upper_bound(gens, caps) -> float:
 
 
 def price_set(
-    gens: Sequence[GeneratorSpec], demand: float, caps: Sequence[float] | None = None
+    gens: Sequence[GeneratorSpec],
+    demand: float,
+    caps: Sequence[float] | None = None,
+    *,
+    memo: dict | None = None,
 ) -> PriceSet:
     """All prices at which aggregate supply can clear demand.
 
@@ -111,6 +115,13 @@ def price_set(
     unit runs at its cap at the bisection's upper bound, so supply there
     is the capacity, which reaches the lower crossing unless the fleet is
     short and passes the upper one unless the set is a ray.
+
+    ``memo`` is internal to ``load_sweep``: a dict, owned by the caller,
+    from (units, caps) to that fleet's aggregate supply by price.  Supply
+    does not depend on demand and every level's bisection starts from the
+    same bracket, so a sweep asks for the same prices again.  A supply
+    looked up is the one evaluation would return, so the set is
+    bit-identical with or without a memo.
     """
     gens = tuple(gens)
     caps = _resolve_caps(gens, caps)
@@ -121,17 +132,27 @@ def price_set(
 
     p_ub = _price_upper_bound(gens, caps)
 
-    def hi_at(p: float) -> float:
-        return aggregate_supply(gens, p, caps).hi
+    if memo is None:
 
-    def lo_at(p: float) -> float:
-        return aggregate_supply(gens, p, caps).lo
+        def supply_at(p: float) -> Interval:
+            return aggregate_supply(gens, p, caps)
+
+    else:
+        known = memo.setdefault((gens, tuple(caps)), {})
+
+        def supply_at(p: float) -> Interval:
+            s = known.get(p)
+            if s is None:
+                s = known[p] = aggregate_supply(gens, p, caps)
+            return s
 
     target = rule.served(capacity) - rule.slack
-    if hi_at(0.0) >= target:
+    if supply_at(0.0).hi >= target:
         lower = 0.0
     else:
-        _, lower = bisect_transition(0.0, p_ub, lambda p: hi_at(p) >= target, width=_PRICE_WIDTH)
+        _, lower = bisect_transition(
+            0.0, p_ub, lambda p: supply_at(p).hi >= target, width=_PRICE_WIDTH
+        )
 
     if rule.ray(capacity):
         # at full output the market only just covers demand; every higher
@@ -139,7 +160,7 @@ def price_set(
         return PriceSet(lo=lower, hi=math.inf, unbounded_above=True)
 
     upper, _ = bisect_transition(
-        lower, p_ub, lambda p: lo_at(p) > demand + rule.slack, width=_PRICE_WIDTH
+        lower, p_ub, lambda p: supply_at(p).lo > demand + rule.slack, width=_PRICE_WIDTH
     )
     return PriceSet(lo=lower, hi=max(upper, lower), unbounded_above=False)
 

@@ -140,7 +140,7 @@ def mchp_price_set_eps(instance: MarketInstance, epsilon: float) -> PriceSet:
 
 
 def mchp_price_set_limit(
-    instance: MarketInstance, hull: PriceSet | None = None
+    instance: MarketInstance, hull: PriceSet | None = None, *, memo: dict | None = None
 ) -> tuple[PriceSet, str]:
     """Vanishing-margin clearing prices, in closed form.
 
@@ -155,18 +155,24 @@ def mchp_price_set_limit(
       the set is P_red;
     - P_red straddles p_bar: the set is P_red truncated above at p_bar;
     - P_red lies at or above p_bar: the set collapses to {p_bar}.
+
+    ``memo`` is ``price_set``'s supply memo, passed on to every price set
+    this computes.
     """
-    return _limit_set(instance, classify_lnmgu(instance, default_epsilon(instance)), hull)
+    return _limit_set(instance, classify_lnmgu(instance, default_epsilon(instance)), hull, memo)
 
 
 def _limit_set(
-    instance: MarketInstance, part: LnmguPartition, hull: PriceSet | None = None
+    instance: MarketInstance,
+    part: LnmguPartition,
+    hull: PriceSet | None = None,
+    memo: dict | None = None,
 ) -> tuple[PriceSet, str]:
     """``mchp_price_set_limit`` on a fleet already partitioned."""
     gens = list(instance.generators)
     d = instance.demand
     if not part.large:
-        return (price_set(gens, d) if hull is None else hull), CASE_NO_LNMGU
+        return (price_set(gens, d, memo=memo) if hull is None else hull), CASE_NO_LNMGU
 
     large = set(part.large)
     p_bar = min(average_total_cost(g, d) for g in gens if g.id in large)
@@ -176,7 +182,7 @@ def _limit_set(
     if not regulars or not CapacityRule(d).clears(sum(g.x_max for g in regulars)):
         return PriceSet(lo=p_bar, hi=p_bar, unbounded_above=False), CASE_LNMGU_MARGINAL
 
-    reduced = price_set(regulars, d)
+    reduced = price_set(regulars, d, memo=memo)
     if not reduced.unbounded_above and reduced.hi < p_bar - _ENDPOINT_TOL:
         return reduced, CASE_LNMGU_IRRELEVANT
     if reduced.lo >= p_bar - _ENDPOINT_TOL:

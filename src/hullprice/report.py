@@ -223,18 +223,21 @@ def load_sweep(instance: MarketInstance, demands: Sequence[float]) -> list[Sweep
 
     The instance's own demand plays no part.  An invalid fleet raises
     ValidationError; infeasible or invalid demand levels produce a row
-    with the error message instead of price sets.
+    with the error message instead of price sets.  Every level's price
+    sets share one memo of the fleet's aggregate supply by price (see
+    ``price_set``), so a price asked for again is not evaluated again.
     """
     instance = instance._replace(generators=tuple(instance.generators))
     check_fleet(instance.generators)
+    memo: dict = {}
     rows = []
     for d in map(float, demands):
         violations = demand_violations(d, instance.generators)
         if violations:
             rows.append(SweepRow(d, None, None, None, "; ".join(violations)))
             continue
-        chp = price_set(instance.generators, d)
-        mchp_set, tag = mchp_price_set_limit(instance._replace(demand=d), chp)
+        chp = price_set(instance.generators, d, memo=memo)
+        mchp_set, tag = mchp_price_set_limit(instance._replace(demand=d), chp, memo=memo)
         rows.append(SweepRow(d, chp, mchp_set, tag))
     return rows
 

@@ -13,9 +13,12 @@ import pytest
 
 import hullprice
 from hullprice import (
+    SweepRow,
     UnknownFormatError,
     default_epsilon,
+    mchp_price_set_limit,
     parse_instance,
+    price_set,
     primal_solver,
     load_sweep,
     render_report,
@@ -24,6 +27,7 @@ from hullprice import (
     run_pipeline,
 )
 from hullprice.cli import main
+from hullprice.market_model import demand_violations
 
 import oracles
 from conftest import EX1_JSON, EX2_JSON, EX3_JSON, EX4_JSON, EX5_JSON, LARGE_MW_FLEET, make_instance
@@ -83,24 +87,33 @@ def _count_calls(monkeypatch, functions):
 
 
 @pytest.mark.parametrize(
-    "spec, max_price_sets",
-    [(EX1_JSON, 4), (EX2_JSON, 4), (EX3_JSON, 6), (EX4_JSON, 6), (EX5_JSON, 4)],
+    "spec, max_price_sets, supply_evals",
+    [
+        (EX1_JSON, 4, 348),
+        (EX2_JSON, 4, 358),
+        (EX3_JSON, 6, 532),
+        (EX4_JSON, 6, 446),
+        (EX5_JSON, 4, 354),
+    ],
     ids=["ex1", "ex2", "ex3", "ex4", "ex5"],
 )
-def test_pipeline_reuses_price_sets_and_partition(monkeypatch, spec, max_price_sets):
+def test_pipeline_reuses_price_sets_and_partition(monkeypatch, spec, max_price_sets, supply_evals):
     # one hull set each in run_pipeline and uplifts' stale check, the same
     # pair for the reduced fleet when it can serve demand, and the two
-    # capped sets diagnostics compares
+    # capped sets diagnostics compares.  A report prices one demand and
+    # keeps no supply memo, so its supply evaluations are pinned exactly.
     counts = _count_calls(
         monkeypatch,
         [
             hullprice.dual_pricing.price_set,
+            hullprice.dual_pricing.aggregate_supply,
             hullprice.mchp.classify_lnmgu,
             hullprice.mchp.mchp_price_set_eps,
         ],
     )
     assert run_pipeline(parse_instance(json.dumps(spec))).checks.passed
     assert counts["price_set"] <= max_price_sets
+    assert counts["aggregate_supply"] == supply_evals
     assert counts["mchp_price_set_eps"] == 1
     assert counts["classify_lnmgu"] <= 4
 
@@ -219,6 +232,72 @@ def test_sweep_prices_each_level_without_an_lnmgu_once(ex2, monkeypatch):
     assert len(calls) == 5
 
 
+def _per_level_sweep(instance, demands):
+    """``load_sweep`` with every level priced afresh, keeping no supply memo."""
+    gens = tuple(instance.generators)
+    rows = []
+    for d in map(float, demands):
+        violations = demand_violations(d, gens)
+        if violations:
+            rows.append(SweepRow(d, None, None, None, "; ".join(violations)))
+            continue
+        chp = price_set(gens, d)
+        mchp_set, tag = mchp_price_set_limit(instance._replace(demand=d), chp)
+        rows.append(SweepRow(d, chp, mchp_set, tag))
+    return rows
+
+
+def _random_grid(rng, instance):
+    """Unsorted levels over the fleet, with a repeat, a ray and an infeasible level."""
+    capacity = instance.total_capacity
+    levels = [rng.uniform(0.02, 0.99) * capacity for _ in range(5)]
+    levels += [capacity, rng.uniform(1.01, 1.5) * capacity, rng.choice(levels)]
+    rng.shuffle(levels)
+    return levels
+
+
+@pytest.mark.parametrize("mw, money", [(1.0, 1.0), (1e-3, 1e4), (1e3, 1e-3), (1e6, 1e6)])
+def test_sweep_memo_gives_the_rows_of_a_sweep_without_it(mw, money):
+    # a memoised supply is the supply evaluation would return, so every
+    # bisection takes the same path: rows are equal float for float
+    rng = random.Random(14)
+    rays = errors = 0
+    for _ in range(100):
+        inst = oracles.scale_instance(oracles.random_instance(rng), mw, money)
+        grid = _random_grid(rng, inst)
+        rows = load_sweep(inst, grid)
+        assert rows == _per_level_sweep(inst, grid)
+        rays += sum(r.error is None and r.chp.unbounded_above for r in rows)
+        errors += sum(r.error is not None for r in rows)
+    assert rays > 0 and errors > 0
+
+
+def _fleet_with_oversized_unit(rng):
+    """An 8-unit ``mixed_fleet`` and a cheap linear unit 1.5 times its capacity."""
+    spec = json.loads(oracles.serialize_instance(oracles.mixed_fleet(rng, 8)))
+    capacity = sum(g["x_max"] for g in spec["generators"])
+    spec["generators"].append(
+        {"id": "big", "w": 0.5 * capacity, "curve": {"linear": 0.5}, "x_max": 1.5 * capacity}
+    )
+    return parse_instance(json.dumps(spec))
+
+
+def test_sweep_memo_saves_most_supply_evaluations(monkeypatch):
+    # levels share the bisection's bracket, so their probes repeat; the
+    # memo answers a repeated price without evaluating the fleet again
+    inst = _fleet_with_oversized_unit(random.Random(1))
+    capacity = inst.total_capacity
+    grid = [capacity * (k + 0.5) / 40 for k in range(40)]
+    counts = _count_calls(monkeypatch, [hullprice.dual_pricing.aggregate_supply])
+    want = _per_level_sweep(inst, grid)
+    without_memo = counts["aggregate_supply"]
+    counts["aggregate_supply"] = 0
+    rows = load_sweep(inst, grid)
+    assert rows == want
+    assert {r.case_tag for r in rows} >= {"lnmgu_marginal", "no_lnmgu"}
+    assert counts["aggregate_supply"] <= 0.45 * without_memo
+
+
 def test_sweep_renderings(ex1):
     rows = load_sweep(ex1, [2.0, 6.0, 7.0])
 
@@ -314,7 +393,17 @@ def test_cli_sweep(ex1_file, capsys):
     assert "demand 9.0:" in err
 
 
-@pytest.mark.parametrize("grid", ["nan,2", "inf,2", "2,-inf"])
+def test_cli_sweep_takes_a_grid_that_starts_with_a_minus_sign(ex1_file, capsys):
+    assert main([ex1_file, "--sweep=-1,2", "--format", "csv"]) == 1
+    joined = capsys.readouterr()
+    for flag in ("--sweep", "--sw"):
+        assert main([ex1_file, flag, "-1,2", "--format", "csv"]) == 1
+        assert capsys.readouterr() == joined
+    assert "demand -1.0: demand not positive" in joined.err
+    assert "sweep: 1/2 demand levels priced" in joined.err
+
+
+@pytest.mark.parametrize("grid", ["nan,2", "inf,2", "2,-inf", "-inf", "-inf,2"])
 def test_cli_sweep_rejects_a_non_finite_level(ex1_file, capsys, grid):
     # a NaN level would render as "demand": NaN, which is not JSON
     with pytest.raises(SystemExit) as exc:
