@@ -119,9 +119,11 @@ def price_set(
     ``memo`` is internal to ``load_sweep``: a dict, owned by the caller,
     from (units, caps) to that fleet's aggregate supply by price.  Supply
     does not depend on demand and every level's bisection starts from the
-    same bracket, so a sweep asks for the same prices again.  Without one
-    the supplies are kept for this call only.  A supply looked up is the
-    one evaluation would return, so the set is bit-identical either way.
+    same bracket, so a sweep asks for the same prices again.  A supply
+    looked up is the one evaluation would return, so the set is
+    bit-identical with or without a memo.  Without one every price is
+    evaluated: a report prices one demand, and keeping its supplies for
+    the call costs more than the rare price its two bisections share.
     """
     gens = tuple(gens)
     caps = _resolve_caps(gens, caps)
@@ -132,13 +134,19 @@ def price_set(
 
     p_ub = _price_upper_bound(gens, caps)
 
-    known = {} if memo is None else memo.setdefault((gens, tuple(caps)), {})
+    if memo is None:
 
-    def supply_at(p: float) -> Interval:
-        s = known.get(p)
-        if s is None:
-            s = known[p] = aggregate_supply(gens, p, caps)
-        return s
+        def supply_at(p: float) -> Interval:
+            return aggregate_supply(gens, p, caps)
+
+    else:
+        known = memo.setdefault((gens, tuple(caps)), {})
+
+        def supply_at(p: float) -> Interval:
+            s = known.get(p)
+            if s is None:
+                s = known[p] = aggregate_supply(gens, p, caps)
+            return s
 
     target = rule.served(capacity) - rule.slack
     if supply_at(0.0).hi >= target:

