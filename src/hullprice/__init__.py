@@ -35,7 +35,6 @@ from .errors import (
 from .market_model import (
     CostCurve,
     GeneratorSpec,
-    Linear,
     MarketInstance,
     PiecewiseLinear,
     Quadratic,
@@ -79,7 +78,6 @@ __all__ = [
     "GeneratorSpec",
     "InfeasibleError",
     "Interval",
-    "Linear",
     "LnmguPartition",
     "MarketInstance",
     "MchpResult",

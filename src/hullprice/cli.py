@@ -103,7 +103,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with open(args.instance, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.instance}: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .market_model import GeneratorSpec, Linear, Quadratic
+from .market_model import GeneratorSpec, Quadratic
 from .tolerances import PRICE_EQ_TOL, boundary_tol
 
 
@@ -90,17 +90,12 @@ def ec_min(gen: GeneratorSpec, cap: float | None = None) -> float:
     if w == 0.0:
         return 0.0
     curve = gen.curve
-    if isinstance(curve, Linear):
-        # average (w + a x)/x falls forever; scale point is the cap
-        return cap
     if isinstance(curve, Quadratic):
-        if curve.q == 0.0:
-            return cap
         x = math.sqrt(2.0 * w / curve.q)
         return x if x < cap else cap
     # piecewise linear: x * slope_right(x) - w - c(x) is constant between
     # kinks and nondecreasing, so the first kink where it turns >= 0 is
-    # the lowest crossing
+    # the lowest crossing; with one segment, average cost falls up to the cap
     total = 0.0
     left = 0.0
     for right, slope in curve.segments[:-1]:

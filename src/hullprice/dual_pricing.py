@@ -15,7 +15,6 @@ import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from ._search import bisect_transition
 from .cost_analysis import Interval, average_total_cost, cost_eval, profit, supply_correspondence
 from .errors import InfeasibleError, StalePriceError
 from .market_model import CapacityRule, GeneratorSpec, MarketInstance
@@ -100,6 +99,25 @@ def _price_upper_bound(gens, caps) -> float:
     return worst_avg + worst_marginal + 1.0
 
 
+def _bisect(lo: float, hi: float, pred) -> tuple[float, float]:
+    """Bracket the switch of a monotone predicate on [lo, hi].
+
+    ``pred`` must be False at ``lo`` and True at ``hi``.  Returns
+    ``(last_false, first_true)``, no wider than ``_PRICE_WIDTH`` or as
+    tight as floats allow.
+    """
+    while hi - lo > _PRICE_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            # float resolution exhausted
+            break
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def price_set(
     gens: Sequence[GeneratorSpec],
     demand: float,
@@ -152,18 +170,14 @@ def price_set(
     if supply_at(0.0).hi >= target:
         lower = 0.0
     else:
-        _, lower = bisect_transition(
-            0.0, p_ub, lambda p: supply_at(p).hi >= target, width=_PRICE_WIDTH
-        )
+        _, lower = _bisect(0.0, p_ub, lambda p: supply_at(p).hi >= target)
 
     if rule.ray(capacity):
         # at full output the market only just covers demand; every higher
         # price still clears
         return PriceSet(lo=lower, hi=math.inf, unbounded_above=True)
 
-    upper, _ = bisect_transition(
-        lower, p_ub, lambda p: supply_at(p).lo > demand + rule.slack, width=_PRICE_WIDTH
-    )
+    upper, _ = _bisect(lower, p_ub, lambda p: supply_at(p).lo > demand + rule.slack)
     return PriceSet(lo=lower, hi=max(upper, lower), unbounded_above=False)
 
 

@@ -3,9 +3,11 @@
 An instance is one period of a single-node power market: a fixed demand in
 MW and a list of generators.  Each generator has a nonnegative start-up
 cost, a convex nondecreasing variable-cost curve starting at c(0) = 0, and
-a capacity limit.  Curves are piecewise linear or quadratic, which keeps
-every downstream computation (marginal cost ranges, level sets, conjugates)
-in closed form.
+a capacity limit.  Curves are piecewise linear (PWL) or quadratic with
+q > 0, which keeps every downstream computation (marginal cost ranges,
+level sets, conjugates) in closed form.  A linear cost, and a quadratic
+one with q = 0, is read as one PWL segment up to x_max.  Only the
+generator holds its capacity; a quadratic curve has no domain of its own.
 
 JSON schema::
 
@@ -32,36 +34,15 @@ from .errors import InfeasibleError, SchemaError, ValidationError
 from .tolerances import boundary_tol, demand_tol, supply_slack
 
 
-class Linear(NamedTuple):
-    """c(x) = a * x on [0, domain_max]."""
-
-    a: float
-    domain_max: float
-
-    def value(self, x: float) -> float:
-        return self.a * x
-
-    def slope_right(self, x: float) -> float:
-        return self.a
-
-    def slope_left(self, x: float) -> float:
-        return self.a
-
-    def max_out_at(self, lam: float) -> float:
-        # largest x with left marginal cost <= lam
-        return self.domain_max if lam >= self.a else 0.0
-
-    def min_out_at(self, lam: float) -> float:
-        # smallest x with right marginal cost >= lam
-        return 0.0 if self.a >= lam else self.domain_max
-
-
 class Quadratic(NamedTuple):
-    """c(x) = a*x + (q/2)*x^2 on [0, domain_max]; marginal cost a + q*x."""
+    """c(x) = a*x + (q/2)*x^2 with q > 0; marginal cost a + q*x.
+
+    The curve has no domain of its own: callers clip output to the
+    generator's cap.  A linear cost is a one-segment PiecewiseLinear.
+    """
 
     a: float
     q: float
-    domain_max: float
 
     def value(self, x: float) -> float:
         return self.a * x + 0.5 * self.q * x * x
@@ -69,18 +50,12 @@ class Quadratic(NamedTuple):
     def slope_right(self, x: float) -> float:
         return self.a + self.q * x
 
-    def slope_left(self, x: float) -> float:
-        return self.a + self.q * x
-
     def max_out_at(self, lam: float) -> float:
-        if self.q == 0.0:
-            return self.domain_max if lam >= self.a else 0.0
-        return min(max((lam - self.a) / self.q, 0.0), self.domain_max)
+        return max((lam - self.a) / self.q, 0.0)
 
-    def min_out_at(self, lam: float) -> float:
-        if self.q == 0.0:
-            return 0.0 if self.a >= lam else self.domain_max
-        return min(max((lam - self.a) / self.q, 0.0), self.domain_max)
+    # the marginal cost is continuous, so both sides agree
+    slope_left = slope_right
+    min_out_at = max_out_at
 
 
 class PiecewiseLinear(NamedTuple):
@@ -138,7 +113,7 @@ class PiecewiseLinear(NamedTuple):
         return self.domain_max
 
 
-CostCurve = Linear | Quadratic | PiecewiseLinear
+CostCurve = Quadratic | PiecewiseLinear
 
 
 class GeneratorSpec(NamedTuple):
@@ -178,16 +153,16 @@ class Fleet(Sequence):
         ids, sizes, numbers = [], [], []
         for g in generators:
             curve = g.curve
-            if isinstance(curve, PiecewiseLinear):
-                values = [v for segment in curve.segments for v in segment]
-                sizes.append(-len(curve.segments))
+            if isinstance(curve, Quadratic):
+                values = curve  # (a, q)
+                sizes.append(0)
             else:
-                values = list(curve)  # (a, domain_max) or (a, q, domain_max)
-                sizes.append(len(values))
+                values = [v for segment in curve.segments for v in segment]
+                sizes.append(len(curve.segments))
             ids.append(g.id)
             numbers += (g.startup_cost, g.x_max, *values)
         self._ids = tuple(ids)
-        # curve numbers per unit, negated for a pwl curve
+        # pwl segments per unit, 0 for a quadratic curve
         self._sizes = tuple(sizes)
         self._numbers = array("d", numbers)
 
@@ -197,13 +172,13 @@ class Fleet(Sequence):
         for gid, size in zip(self._ids, self._sizes):
             startup_cost, x_max = numbers[k], numbers[k + 1]
             k += 2
-            if size < 0:
-                end = k - 2 * size
+            if size:
+                end = k + 2 * size
                 flat = numbers[k:end]
                 curve = PiecewiseLinear(tuple(zip(flat[0::2], flat[1::2])))
             else:
-                end = k + size
-                curve = (Linear if size == 2 else Quadratic)(*numbers[k:end])
+                end = k + 2
+                curve = Quadratic(*numbers[k:end])
             k = end
             yield GeneratorSpec(gid, startup_cost, curve, x_max)
 
@@ -228,7 +203,10 @@ class Fleet(Sequence):
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: integer too large for a float") from None
 
 
 def _reject_constant(name):
@@ -240,16 +218,15 @@ def _curve_from_json(obj, gid: str, x_max: float) -> CostCurve:
         raise SchemaError(f"{gid}: curve must be exactly one of linear/quadratic/pwl")
     (kind, body), = obj.items()
     if kind == "linear":
-        return Linear(_require_number(body, f"{gid}: linear slope"), x_max)
-    if kind == "quadratic":
+        a = _require_number(body, f"{gid}: linear slope")
+    elif kind == "quadratic":
         if not isinstance(body, dict) or set(body) != {"a", "q"}:
             raise SchemaError(f"{gid}: quadratic curve needs keys a and q")
-        return Quadratic(
-            _require_number(body["a"], f"{gid}: quadratic a"),
-            _require_number(body["q"], f"{gid}: quadratic q"),
-            x_max,
-        )
-    if kind == "pwl":
+        a = _require_number(body["a"], f"{gid}: quadratic a")
+        q = _require_number(body["q"], f"{gid}: quadratic q")
+        if q:
+            return Quadratic(a, q)
+    elif kind == "pwl":
         if not isinstance(body, list) or not body:
             raise SchemaError(f"{gid}: pwl curve needs a nonempty pair list")
         segments = []
@@ -263,7 +240,10 @@ def _curve_from_json(obj, gid: str, x_max: float) -> CostCurve:
                 )
             )
         return PiecewiseLinear(tuple(segments))
-    raise SchemaError(f"{gid}: unknown curve kind {kind!r}")
+    else:
+        raise SchemaError(f"{gid}: unknown curve kind {kind!r}")
+    # a linear or flat quadratic cost is one segment up to the cap
+    return PiecewiseLinear(((x_max, a),))
 
 
 def parse_instance(text: str) -> MarketInstance:
@@ -287,7 +267,9 @@ def read_instance(text: str) -> MarketInstance:
     """
     try:
         raw = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise SchemaError("not valid JSON: nested too deeply") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("top level must be an object")
@@ -331,12 +313,13 @@ def read_instance(text: str) -> MarketInstance:
 def _curve_violations(g: GeneratorSpec):
     """Yield (rule, message) pairs for one generator's curve."""
     c = g.curve
-    if isinstance(c, (Linear, Quadratic)):
-        coeffs = (c.a,) if isinstance(c, Linear) else (c.a, c.q)
-        if any(not math.isfinite(v) for v in coeffs):
+    if isinstance(c, Quadratic):
+        if not (math.isfinite(c.a) and math.isfinite(c.q)):
             yield ("coefficients", f"{g.id}: non-finite cost coefficient")
-        elif any(v < 0 for v in coeffs):
+        elif c.a < 0 or c.q < 0:
             yield ("coefficients", f"{g.id}: negative cost coefficient")
+        elif not c.q > 0:
+            yield ("coefficients", f"{g.id}: flat quadratic; a linear cost is one pwl segment")
         return
     # piecewise linear
     endpoints = [right for right, _ in c.segments]
@@ -470,7 +453,7 @@ def _fleet_findings(generators):
     for g in generators:
         if not math.isfinite(g.x_max) or g.x_max <= 0:
             found.append((g.id, "capacity", f"{g.id}: x_max not positive"))
-        elif abs(g.curve.domain_max - g.x_max) > tol:
+        elif isinstance(g.curve, PiecewiseLinear) and abs(g.curve.domain_max - g.x_max) > tol:
             found.append((g.id, "curve_domain", f"{g.id}: curve domain mismatch"))
         if not math.isfinite(g.startup_cost):
             found.append((g.id, "startup", f"{g.id}: startup_cost not finite"))

@@ -10,10 +10,11 @@ taken at the whole fleet's marginal price and at each incumbent's.  A
 node whose bound exceeds the cheapest schedule found so far, or whose
 largest reachable capacity is short of demand, is never entered.  Each
 remaining subset is dispatched at the shared marginal price, found
-exactly from the breakpoints of the units' output ceilings: outputs
-below the price-level set are raised, the remaining demand is spread
-over units indifferent at that price.  Start-up costs are added per
-committed unit after dispatch.
+exactly from the breakpoints of the units' output ceilings: the slopes
+of the PWL curves, a linear cost being one segment, and the two ends of
+each quadratic ramp.  Outputs below the price-level set are raised, the
+remaining demand is spread over units indifferent at that price.
+Start-up costs are added per committed unit after dispatch.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .errors import InfeasibleError, SizeError
-from .market_model import CapacityRule, GeneratorSpec, MarketInstance, PiecewiseLinear, Quadratic
+from .market_model import CapacityRule, GeneratorSpec, MarketInstance, Quadratic
 from .tolerances import BOUND_SLACK
 
 MAX_GENERATORS = 24
@@ -54,10 +55,11 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     ``gens`` is treated as running.
 
     The output ceiling sum(min(max_out_at(lam), cap)) is nondecreasing and
-    piecewise linear in lam, bending or jumping only at linear costs, PWL
-    slopes and the two ends of each quadratic ramp.  lam is the first of
-    these breakpoints whose ceiling covers demand, or the root of the
-    quadratic ramps' linear piece on the interval just before it.  A
+    piecewise linear in lam, bending or jumping only at PWL slopes (a
+    linear cost is one segment) and the two ends of each quadratic ramp.
+    lam is the first of these breakpoints whose ceiling covers demand, or
+    the root of the quadratic ramps' linear piece on the interval just
+    before it.  A
     capacity short of demand (``CapacityRule.short``) raises
     InfeasibleError.  A capacity below demand but not short of it runs
     every unit at capacity.  Any other dispatch whose outputs fall short
@@ -77,15 +79,13 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     ramps = {}  # unit index -> (start, end) price of a quadratic's output ramp
     for i, (g, cap) in enumerate(zip(gens, caps)):
         curve = g.curve
-        if isinstance(curve, PiecewiseLinear):
-            prices.update(slope for _, slope in curve.segments)
-        elif isinstance(curve, Quadratic) and curve.q > 0.0:
+        if isinstance(curve, Quadratic):
             # however flat, a ramp spans at least one float step in price
-            end = curve.a + curve.q * min(cap, curve.domain_max)
+            end = curve.a + curve.q * cap
             ramps[i] = (curve.a, max(end, math.nextafter(curve.a, math.inf)))
             prices.update(ramps[i])
         else:
-            prices.add(curve.a)
+            prices.update(slope for _, slope in curve.segments)
     breaks = sorted(prices)
 
     need = rule.served(capacity)

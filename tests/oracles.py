@@ -19,7 +19,6 @@ import numpy as np
 
 from hullprice import (
     DispatchSolution,
-    Linear,
     PiecewiseLinear,
     Quadratic,
     ScheduleEntry,
@@ -34,8 +33,6 @@ from hullprice import (
 def curve_values(curve, xs):
     """Vectorized c(x) recomputed from the curve parameters."""
     xs = np.asarray(xs, dtype=float)
-    if isinstance(curve, Linear):
-        return curve.a * xs
     if isinstance(curve, Quadratic):
         return curve.a * xs + 0.5 * curve.q * xs * xs
     bx = [0.0]
@@ -55,8 +52,6 @@ def curve_value(curve, x):
 
 
 def slope_right(curve, x):
-    if isinstance(curve, Linear):
-        return curve.a
     if isinstance(curve, Quadratic):
         return curve.a + curve.q * x
     for right, slope in curve.segments:
@@ -66,8 +61,6 @@ def slope_right(curve, x):
 
 
 def slope_left(curve, x):
-    if isinstance(curve, Linear):
-        return curve.a
     if isinstance(curve, Quadratic):
         return curve.a + curve.q * x
     left = 0.0
@@ -80,11 +73,7 @@ def slope_left(curve, x):
 
 def max_out(curve, lam, cap):
     """Largest x in [0, cap] whose left marginal cost is <= lam."""
-    if isinstance(curve, Linear):
-        return cap if lam >= curve.a else 0.0
     if isinstance(curve, Quadratic):
-        if curve.q == 0.0:
-            return cap if lam >= curve.a else 0.0
         return min(max((lam - curve.a) / curve.q, 0.0), cap)
     out = 0.0
     for right, slope in curve.segments:
@@ -97,11 +86,7 @@ def max_out(curve, lam, cap):
 
 def min_out(curve, lam, cap):
     """Smallest x in [0, cap] whose right marginal cost is >= lam."""
-    if isinstance(curve, Linear):
-        return 0.0 if curve.a >= lam else cap
     if isinstance(curve, Quadratic):
-        if curve.q == 0.0:
-            return 0.0 if curve.a >= lam else cap
         return min(max((lam - curve.a) / curve.q, 0.0), cap)
     left = 0.0
     for right, slope in curve.segments:
@@ -339,18 +324,14 @@ def milp_primal(instance):
     cost, upper, integrality = [], [], []
     links = []  # (u column, y column, segment length)
     for g in instance.generators:
-        if isinstance(g.curve, Linear):
-            segments = ((g.x_max, g.curve.a),)
-        elif isinstance(g.curve, PiecewiseLinear):
-            segments = g.curve.segments
-        else:
+        if isinstance(g.curve, Quadratic):
             raise ValueError(f"{g.id}: milp_primal takes linear and PWL units only")
         u = len(cost)
         cost.append(g.startup_cost)
         upper.append(1.0)
         integrality.append(1)
         left = 0.0
-        for right, slope in segments:
+        for right, slope in g.curve.segments:
             right = min(right, g.x_max)
             if right > left:
                 links.append((u, len(cost), right - left))
@@ -448,8 +429,6 @@ def serialize_instance(instance):
     """Schema JSON of an instance, field for field."""
 
     def curve_form(curve):
-        if isinstance(curve, Linear):
-            return {"linear": curve.a}
         if isinstance(curve, Quadratic):
             return {"quadratic": {"a": curve.a, "q": curve.q}}
         return {"pwl": [[right, slope] for right, slope in curve.segments]}

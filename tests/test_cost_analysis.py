@@ -11,7 +11,6 @@ from hullprice import (
     DomainError,
     GeneratorSpec,
     Interval,
-    Linear,
     PiecewiseLinear,
     Quadratic,
     average_total_cost,
@@ -28,11 +27,12 @@ SQRT32 = math.sqrt(32.0)
 
 
 def lin_gen(w, a, x_max, gid="g"):
-    return GeneratorSpec(gid, float(w), Linear(float(a), float(x_max)), float(x_max))
+    x_max = float(x_max)
+    return GeneratorSpec(gid, float(w), PiecewiseLinear(((x_max, float(a)),)), x_max)
 
 
 def quad_gen(w, a, q, x_max, gid="g"):
-    return GeneratorSpec(gid, float(w), Quadratic(float(a), float(q), float(x_max)), float(x_max))
+    return GeneratorSpec(gid, float(w), Quadratic(float(a), float(q)), float(x_max))
 
 
 def pwl_gen(w, segments, gid="g"):
@@ -278,7 +278,7 @@ def test_profit_is_hull_conjugate():
             base = np.linspace(0.0, g.x_max, 2000)
             for p in (0.3, 1.1, 2.7, 4.5, 8.0):
                 pts = list(cands)
-                if isinstance(g.curve, Quadratic) and g.curve.q > 0:
+                if isinstance(g.curve, Quadratic):
                     pts.append(min(max((p - g.curve.a) / g.curve.q, 0.0), g.x_max))
                 xs = np.concatenate([base, np.asarray(pts)])
                 fh = np.array([oracles.hull_value(g, hull, x) for x in xs])

@@ -11,13 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 from hullprice import (
     GeneratorSpec,
-    Linear,
     MarketInstance,
     PiecewiseLinear,
+    PricingError,
     Quadratic,
     SchemaError,
     ValidationError,
+    load_sweep,
     parse_instance,
+    report_dict,
+    run_pipeline,
     validate_instance,
 )
 from hullprice.market_model import Fleet
@@ -32,8 +35,7 @@ def test_parse_example_instance(ex1):
     g = ex1.generators[0]
     assert g.id == "g"
     assert g.startup_cost == 12
-    assert isinstance(g.curve, Linear)
-    assert g.curve.a == 1
+    assert g.curve == PiecewiseLinear(((6, 1),))
     assert g.x_max == 6
 
 
@@ -98,6 +100,9 @@ def test_parse_rejects_nonconvex_pwl():
         '{"demand": 4, "generators": [{"id": "g", "w": 1, "curve": {"pwl": []}, "x_max": 2}]}',
         '{"demand": 4, "generators": [{"id": "g", "w": 1, "curve": {"pwl": [[1]]}, "x_max": 2}]}',
         '{"demand": 4, "generators": [{"id": "g", "w": 1, "curve": {"linear": 1, "quadratic": {}}, "x_max": 2}]}',
+        pytest.param("[" * 100_000, id="nested past the recursion limit"),
+        pytest.param('{"demand": 1' + "0" * 5000 + ', "generators": []}', id="5001-digit integer"),
+        pytest.param('{"demand": 1' + "0" * 400 + ', "generators": []}', id="integer past float range"),
     ],
 )
 def test_schema_errors(text):
@@ -112,13 +117,13 @@ def test_validate_clean_instance(ex1):
 def test_validate_negative_startup():
     inst = MarketInstance(
         demand=4,
-        generators=(GeneratorSpec("g", -1.0, Linear(1.0, 6.0), 6.0),),
+        generators=(GeneratorSpec("g", -1.0, PiecewiseLinear(((6.0, 1.0),)), 6.0),),
     )
     assert validate_instance(inst) == ["g: startup_cost negative"]
 
 
 def test_validate_duplicate_ids():
-    g = GeneratorSpec("g", 0.0, Linear(1.0, 6.0), 6.0)
+    g = GeneratorSpec("g", 0.0, PiecewiseLinear(((6.0, 1.0),)), 6.0)
     inst = MarketInstance(demand=4, generators=(g, g))
     assert "duplicate id g" in validate_instance(inst)
 
@@ -126,13 +131,13 @@ def test_validate_duplicate_ids():
 def test_validate_orders_violations_deterministically():
     # two broken generators plus a bad demand: instance-level findings
     # first, then per-generator sorted by id
-    bad_b = GeneratorSpec("b", -2.0, Linear(1.0, 3.0), 3.0)
-    bad_a = GeneratorSpec("a", 0.0, Linear(-1.0, 3.0), 3.0)
+    bad_b = GeneratorSpec("b", -2.0, PiecewiseLinear(((3.0, 1.0),)), 3.0)
+    bad_a = GeneratorSpec("a", 0.0, PiecewiseLinear(((3.0, -1.0),)), 3.0)
     inst = MarketInstance(demand=-1, generators=(bad_b, bad_a))
     found = validate_instance(inst)
     assert found == [
         "demand not positive",
-        "a: negative cost coefficient",
+        "a: negative slope",
         "b: startup_cost negative",
     ]
     assert found == validate_instance(inst)
@@ -142,23 +147,37 @@ def test_validate_domain_mismatch_and_bad_capacity():
     inst = MarketInstance(
         demand=1,
         generators=(
-            GeneratorSpec("a", 0.0, Linear(1.0, 5.0), 4.0),
-            GeneratorSpec("b", 0.0, Linear(1.0, 0.0), 0.0),
+            GeneratorSpec("a", 0.0, PiecewiseLinear(((5.0, 1.0),)), 4.0),
+            GeneratorSpec("b", 0.0, PiecewiseLinear(((0.0, 1.0),)), 0.0),
         ),
     )
     found = validate_instance(inst)
     assert "a: curve domain mismatch" in found
     assert "b: x_max not positive" in found
+    assert "b: non-ascending breakpoints" in found
+
+
+def test_validate_flat_quadratic_is_a_finding():
+    """A linear cost is one pwl segment; a quadratic built with q = 0 is refused."""
+    flat = GeneratorSpec("g", 1.0, Quadratic(1.0, 0.0), 2.0)
+    found = validate_instance(MarketInstance(demand=1.0, generators=(flat,)))
+    assert found == ["g: flat quadratic; a linear cost is one pwl segment"]
 
 
 def test_validate_nonfinite_fields():
     inst = MarketInstance(
         demand=float("nan"),
-        generators=(GeneratorSpec("g", float("inf"), Linear(1.0, 2.0), 2.0),),
+        generators=(
+            GeneratorSpec("g", float("inf"), PiecewiseLinear(((2.0, 1.0),)), 2.0),
+            GeneratorSpec("h", 0.0, PiecewiseLinear(((math.inf, 1.0),)), math.inf),
+        ),
     )
     found = validate_instance(inst)
     assert "demand not finite" in found
     assert "g: startup_cost not finite" in found
+    # a linear unit of x_max 1e400 in a file reads so
+    assert "h: x_max not positive" in found
+    assert "h: non-finite cost coefficient" in found
 
 
 def test_validate_pwl_breakpoints_and_slopes():
@@ -200,6 +219,37 @@ def test_roundtrip_linear_hypothesis(a, w, x_max, d_frac):
     assert parse_instance(oracles.serialize_instance(inst)) == inst
 
 
+def test_linear_flat_quadratic_and_one_segment_price_alike():
+    """The three ways to write a linear cost give the same report and sweep."""
+    rng = random.Random(3)
+    checked = 0
+    while checked < 40:
+        spec = json.loads(oracles.serialize_instance(oracles.random_instance(rng)))
+        # linear units come back as one pwl segment
+        linear = [g for g in spec["generators"] if len(g["curve"].get("pwl", ())) == 1]
+        if not linear:
+            continue
+        checked += 1
+        slopes = [g["curve"]["pwl"][0][1] for g in linear]
+        capacity = sum(g["x_max"] for g in spec["generators"])
+        levels = [f * capacity for f in (0.2, 0.5, 0.8, 1.0, 1.3)]
+        priced = []
+        for write in (
+            lambda g, a: {"linear": a},
+            lambda g, a: {"quadratic": {"a": a, "q": 0}},
+            lambda g, a: {"pwl": [[g["x_max"], a]]},
+        ):
+            for g, a in zip(linear, slopes):
+                g["curve"] = write(g, a)
+            instance = parse_instance(json.dumps(spec))
+            try:
+                report = report_dict(run_pipeline(instance))
+            except PricingError as exc:
+                report = repr(exc)
+            priced.append((report, load_sweep(instance, levels)))
+        assert priced[1] == priced[0] and priced[2] == priced[0], json.dumps(spec)
+
+
 def test_total_capacity(ex2):
     assert math.isclose(ex2.total_capacity, 17.0)
 
@@ -220,9 +270,11 @@ def test_fleet_unpacks_to_the_generators_it_packs():
         assert fleet != list(gens)
     # every float comes back bit for bit, the sign of zero included
     edge = (
-        GeneratorSpec("z", -0.0, Linear(5e-324, 1.7976931348623157e308), 1.7976931348623157e308),
+        GeneratorSpec(
+            "z", -0.0, PiecewiseLinear(((1.7976931348623157e308, 5e-324),)), 1.7976931348623157e308
+        ),
         GeneratorSpec("p", 0.1, PiecewiseLinear(((1e-300, -0.0), (2.0, 0.3))), 2.0),
-        GeneratorSpec("q", 1.0, Quadratic(0.0, 1e-12, 3.0), 3.0),
+        GeneratorSpec("q", 1.0, Quadratic(0.0, 1e-12), 3.0),
     )
     back = tuple(Fleet(edge))
     assert back == edge

@@ -10,7 +10,6 @@ import pytest
 from hullprice import (
     GeneratorSpec,
     InfeasibleError,
-    Linear,
     MarketInstance,
     PiecewiseLinear,
     Quadratic,
@@ -26,8 +25,8 @@ from conftest import LARGE_MW_FLEET, make_instance
 
 def test_economic_dispatch_merit_order_example():
     gens = (
-        GeneratorSpec("g1", 0.0, Linear(0.0, 1.0), 1.0),
-        GeneratorSpec("g2", 0.0, Quadratic(0.0, 1.0, 8.0), 8.0),
+        GeneratorSpec("g1", 0.0, PiecewiseLinear(((1.0, 0.0),)), 1.0),
+        GeneratorSpec("g2", 0.0, Quadratic(0.0, 1.0), 8.0),
     )
     outputs, lam = economic_dispatch(gens, 4.0)
     assert outputs[0] == pytest.approx(1.0, abs=1e-9)
@@ -36,30 +35,30 @@ def test_economic_dispatch_merit_order_example():
 
 
 def test_economic_dispatch_forced_full_output():
-    g = GeneratorSpec("g", 0.0, Quadratic(1.0, 0.5, 6.0), 6.0)
+    g = GeneratorSpec("g", 0.0, Quadratic(1.0, 0.5), 6.0)
     outputs, lam = economic_dispatch((g,), 6.0)
     assert outputs[0] == pytest.approx(6.0, abs=1e-9)
     assert lam == pytest.approx(1.0 + 0.5 * 6.0, abs=1e-6)
 
 
 def test_economic_dispatch_symmetric_split():
-    g1 = GeneratorSpec("g1", 0.0, Quadratic(1.0, 2.0, 5.0), 5.0)
-    g2 = GeneratorSpec("g2", 0.0, Quadratic(1.0, 2.0, 5.0), 5.0)
+    g1 = GeneratorSpec("g1", 0.0, Quadratic(1.0, 2.0), 5.0)
+    g2 = GeneratorSpec("g2", 0.0, Quadratic(1.0, 2.0), 5.0)
     outputs, _ = economic_dispatch((g1, g2), 6.0)
     assert outputs[0] == pytest.approx(3.0, abs=1e-6)
     assert outputs[1] == pytest.approx(3.0, abs=1e-6)
 
 
 def test_economic_dispatch_flat_tie_fills_in_order():
-    g1 = GeneratorSpec("g1", 0.0, Linear(2.0, 2.0), 2.0)
-    g2 = GeneratorSpec("g2", 0.0, Linear(2.0, 2.0), 2.0)
+    g1 = GeneratorSpec("g1", 0.0, PiecewiseLinear(((2.0, 2.0),)), 2.0)
+    g2 = GeneratorSpec("g2", 0.0, PiecewiseLinear(((2.0, 2.0),)), 2.0)
     outputs, lam = economic_dispatch((g1, g2), 3.0)
     assert outputs == [2.0, 1.0]
     assert lam == pytest.approx(2.0, abs=1e-9)
 
 
 def test_economic_dispatch_infeasible():
-    g = GeneratorSpec("g", 0.0, Linear(1.0, 2.0), 2.0)
+    g = GeneratorSpec("g", 0.0, PiecewiseLinear(((2.0, 1.0),)), 2.0)
     with pytest.raises(InfeasibleError):
         economic_dispatch((g,), 5.0)
 
@@ -109,7 +108,7 @@ def test_economic_dispatch_price_at_pwl_step_is_the_slope():
     # segment's slope exactly, not a bisection bracket around it
     gens = (
         GeneratorSpec("k", 0.0, PiecewiseLinear(((2.0, 1.1), (5.0, 2.7))), 5.0),
-        GeneratorSpec("f", 0.0, Linear(1.9, 1.0), 1.0),
+        GeneratorSpec("f", 0.0, PiecewiseLinear(((1.0, 1.9),)), 1.0),
     )
     outputs, lam = economic_dispatch(gens, 3.5)
     assert lam == 2.7
@@ -119,8 +118,8 @@ def test_economic_dispatch_price_at_pwl_step_is_the_slope():
 def test_economic_dispatch_ramp_flatter_than_float_resolution():
     # a + q * x_max rounds to a: no float price lies inside the ramp, so the
     # unit is split at the float step around a instead
-    flat = GeneratorSpec("r", 0.0, Quadratic(50.0, 1e-20, 100.0), 100.0)
-    dear = GeneratorSpec("l", 0.0, Linear(60.0, 100.0), 100.0)
+    flat = GeneratorSpec("r", 0.0, Quadratic(50.0, 1e-20), 100.0)
+    dear = GeneratorSpec("l", 0.0, PiecewiseLinear(((100.0, 60.0),)), 100.0)
     for gens in ((flat,), (flat, dear)):
         outputs, lam = economic_dispatch(gens, 30.0)
         assert outputs[0] == 30.0 and sum(outputs) == 30.0
@@ -212,7 +211,7 @@ def test_solve_zero_output_units_stay_off():
 
 def test_solve_size_guard():
     gens = tuple(
-        GeneratorSpec(f"g{k:02d}", 0.0, Linear(1.0, 1.0), 1.0) for k in range(25)
+        GeneratorSpec(f"g{k:02d}", 0.0, PiecewiseLinear(((1.0, 1.0),)), 1.0) for k in range(25)
     )
     with pytest.raises(SizeError):
         solve_primal(MarketInstance(demand=2.0, generators=gens))
@@ -221,14 +220,16 @@ def test_solve_size_guard():
 def test_solve_infeasible_instance():
     inst = MarketInstance(
         demand=9.0,
-        generators=(GeneratorSpec("g", 0.0, Linear(1.0, 2.0), 2.0),),
+        generators=(GeneratorSpec("g", 0.0, PiecewiseLinear(((2.0, 1.0),)), 2.0),),
     )
     with pytest.raises(InfeasibleError):
         solve_primal(inst)
 
 
 def test_solve_infeasible_fleet_fails_before_the_subset_search():
-    gens = tuple(GeneratorSpec(f"g{i:02d}", 1.0, Linear(1.0, 1.0), 1.0) for i in range(12))
+    gens = tuple(
+        GeneratorSpec(f"g{i:02d}", 1.0, PiecewiseLinear(((1.0, 1.0),)), 1.0) for i in range(12)
+    )
     with pytest.raises(InfeasibleError, match="total capacity 12.0 below demand 13.0"):
         solve_primal(MarketInstance(demand=13.0, generators=gens))
 
@@ -406,10 +407,8 @@ def test_solver_beats_grid_dp_oracle():
 
 
 def _truncate_curve(curve, cap):
-    if isinstance(curve, Linear):
-        return Linear(curve.a, cap)
     if isinstance(curve, Quadratic):
-        return Quadratic(curve.a, curve.q, cap)
+        return curve
     segs = [(r, s) for r, s in curve.segments if r < cap - 1e-12]
     tail_slope = oracles.slope_right(curve, segs[-1][0] if segs else 0.0)
     segs.append((cap, tail_slope))

@@ -539,6 +539,10 @@ def test_cli_ignores_pricer_tol(ex1_file, capsys, monkeypatch):
 def test_cli_unreadable_file_exits_2(tmp_path, capsys):
     assert main([str(tmp_path / "missing.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"demand": 4, "generators": [{"id": "\xe9", "w": 0}]}')
+    assert main([str(latin1)]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_format(ex1_file):
@@ -562,16 +566,21 @@ def test_records_are_immutable(ex1):
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    """Records are named tuples, so importing the package needs neither module."""
+    """Records are named tuples, so importing the package needs neither module.
+
+    The runtime is the standard library: nothing else is loaded either.
+    """
     src = str(Path(hullprice.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import hullprice.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+        "print(sorted({m.partition('.')[0] for m in sys.modules} "
+        "- sys.stdlib_module_names - {'hullprice', '__main__'}))"
     )
     # -S keeps site hooks from importing modules the package does not
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n") == ["[]", "[]", ""]
 
 
 def test_a_reimport_leaves_the_previous_package_collectable():
