@@ -5,12 +5,9 @@
 
 The report (or demand sweep) goes to stdout, a diagnostics summary to
 stderr.  A sweep prices the file's fleet at each grid level and ignores
-the file's demand.  The exit code follows the exception type: 0 all
-diagnostics pass, 1 a diagnostic or a sweep level failed, 2 unreadable
-file, schema or validation problem, 3 infeasible instance, whose only
-fault is total capacity short of demand by more than the tolerance of
-``market_model.CapacityRule``, 4 a fleet larger than the exhaustive
-commitment search takes (``primal_solver.MAX_GENERATORS``).
+the file's demand.  The exit code is 0 when every diagnostic passes, 1
+when a diagnostic or a sweep level fails, and otherwise the
+``exit_code`` of the error that ended the run (see ``errors``).
 """
 
 from __future__ import annotations
@@ -20,22 +17,9 @@ import math
 import sys
 from collections.abc import Sequence
 
-from .errors import (
-    InfeasibleError,
-    PricingError,
-    SchemaError,
-    SizeError,
-    UnknownFormatError,
-    ValidationError,
-)
+from .errors import PricingError, SchemaError
 from .market_model import read_instance
-from .report import load_sweep, render_report, render_sweep, run_pipeline
-
-EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
-EXIT_INVALID = 2
-EXIT_INFEASIBLE = 3
-EXIT_TOO_LARGE = 4
+from .report import FORMATS, load_sweep, render_report, render_sweep, run_pipeline
 
 
 def _parse_sweep(arg: str):
@@ -77,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("instance", help="path to an instance JSON file")
     parser.add_argument(
         "--format",
-        choices=("json", "csv", "markdown"),
+        choices=FORMATS,
         default="json",
         help="output format (default json)",
     )
@@ -97,18 +81,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(_bind_sweep(sys.argv[1:] if argv is None else argv))
 
     try:
-        with open(args.instance, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.instance}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    try:
-        instance = read_instance(text)
+        instance = read_instance(_read_text(args.instance))
         if args.sweep is not None:
             rows = load_sweep(instance, args.sweep)
             sys.stdout.write(render_sweep(rows, args.format))
@@ -119,26 +104,17 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"sweep: {len(rows) - len(bad)}/{len(rows)} demand levels priced",
                 file=sys.stderr,
             )
-            return EXIT_OK if not bad else EXIT_CHECK_FAILED
+            return 1 if bad else 0
         report = run_pipeline(instance, price_representative=args.rep)
-    except InfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (SchemaError, ValidationError, UnknownFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except SizeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
     except PricingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return exc.exit_code
 
     sys.stdout.write(render_report(report, args.format))
 
     for name, ok in report.checks._asdict().items():
         print(f"check {name}: {'ok' if ok else 'FAILED'}", file=sys.stderr)
-    return EXIT_OK if report.checks.passed else EXIT_CHECK_FAILED
+    return 0 if report.checks.passed else 1
 
 
 if __name__ == "__main__":

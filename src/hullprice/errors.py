@@ -1,12 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type names the exit code ``price`` ends with when it escapes a run.
+"""
 
 
 class PricingError(Exception):
     """Base class for every error this package raises deliberately."""
 
+    exit_code = 1
+
 
 class SchemaError(PricingError):
-    """Input JSON is malformed or does not match the instance schema."""
+    """Input cannot be read, is malformed JSON or does not match the schema."""
+
+    exit_code = 2
 
 
 class ValidationError(PricingError):
@@ -14,6 +21,8 @@ class ValidationError(PricingError):
 
     ``violations`` keeps the individual findings.
     """
+
+    exit_code = 2
 
     def __init__(self, message, violations=()):
         super().__init__(message)
@@ -30,9 +39,13 @@ class InfeasibleError(ValidationError):
     Validation raises it when this is an instance's only fault.
     """
 
+    exit_code = 3
+
 
 class SizeError(PricingError):
     """Too many generators for exhaustive commitment search."""
+
+    exit_code = 4
 
 
 class StalePriceError(PricingError):
@@ -41,3 +54,5 @@ class StalePriceError(PricingError):
 
 class UnknownFormatError(PricingError):
     """Requested report format is not supported."""
+
+    exit_code = 2

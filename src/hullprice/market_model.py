@@ -450,8 +450,12 @@ def _fleet_findings(generators):
             found.append(("", f"id {g.id}", f"duplicate id {g.id}"))
         seen.add(g.id)
 
+    total = 0.0
     for g in generators:
-        if not math.isfinite(g.x_max) or g.x_max <= 0:
+        before = len(found)
+        if not math.isfinite(g.x_max):
+            found.append((g.id, "capacity", f"{g.id}: x_max not finite"))
+        elif g.x_max <= 0:
             found.append((g.id, "capacity", f"{g.id}: x_max not positive"))
         elif isinstance(g.curve, PiecewiseLinear) and abs(g.curve.domain_max - g.x_max) > tol:
             found.append((g.id, "curve_domain", f"{g.id}: curve domain mismatch"))
@@ -461,4 +465,14 @@ def _fleet_findings(generators):
             found.append((g.id, "startup", f"{g.id}: startup_cost negative"))
         for rule, msg in _curve_violations(g):
             found.append((g.id, rule, msg))
+        if len(found) == before:
+            # bounds the unit's cost, and its Lagrangian term at any price
+            # up to its top marginal cost
+            top = g.startup_cost + g.x_max * g.curve.slope_left(g.x_max)
+            if math.isfinite(top):
+                total += top
+            else:
+                found.append((g.id, "overflow", f"{g.id}: cost at x_max overflows a float"))
+    if not math.isfinite(total):
+        found.append(("", "overflow", "fleet cost at capacity overflows a float"))
     return found

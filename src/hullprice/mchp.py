@@ -140,12 +140,11 @@ def mchp_price_set_eps(instance: MarketInstance, epsilon: float) -> PriceSet:
 
 
 def mchp_price_set_limit(
-    instance: MarketInstance, hull: PriceSet | None = None, *, memo: dict | None = None
+    instance: MarketInstance, *, memo: dict | None = None
 ) -> tuple[PriceSet, str]:
     """Vanishing-margin clearing prices, in closed form.
 
-    With no large units this is the ordinary price set, ``hull`` when the
-    caller has already computed it for this instance.  Otherwise let
+    With no large units this is the ordinary price set.  Otherwise let
     p_bar be the cheapest large unit's average total cost at demand and
     P_red the price set of the regular fleet alone:
 
@@ -157,22 +156,20 @@ def mchp_price_set_limit(
     - P_red lies at or above p_bar: the set collapses to {p_bar}.
 
     ``memo`` is ``price_set``'s supply memo, passed on to every price set
-    this computes.
+    this computes, so a sweep that has priced the level's hull set gets
+    the ordinary one from the memo.
     """
-    return _limit_set(instance, classify_lnmgu(instance, default_epsilon(instance)), hull, memo)
+    return _limit_set(instance, classify_lnmgu(instance, default_epsilon(instance)), memo)
 
 
 def _limit_set(
-    instance: MarketInstance,
-    part: LnmguPartition,
-    hull: PriceSet | None = None,
-    memo: dict | None = None,
+    instance: MarketInstance, part: LnmguPartition, memo: dict | None = None
 ) -> tuple[PriceSet, str]:
     """``mchp_price_set_limit`` on a fleet already partitioned."""
     gens = list(instance.generators)
     d = instance.demand
     if not part.large:
-        return (price_set(gens, d, memo=memo) if hull is None else hull), CASE_NO_LNMGU
+        return price_set(gens, d, memo=memo), CASE_NO_LNMGU
 
     large = set(part.large)
     p_bar = min(average_total_cost(g, d) for g in gens if g.id in large)

@@ -95,12 +95,48 @@ def _sig(x):
     return x
 
 
-def _price_set_dict(ps: PriceSet) -> dict:
-    return {
-        "lo": _sig(ps.lo),
-        "hi": _sig(ps.hi),
-        "unbounded_above": ps.unbounded_above,
-    }
+# One cell form of a price set per format: a JSON object, two CSV cells
+# (a ray's upper end reads inf) and one markdown cell.
+def _set_json(ps: PriceSet) -> dict:
+    return {"lo": _sig(ps.lo), "hi": _sig(ps.hi), "unbounded_above": ps.unbounded_above}
+
+
+def _set_csv(ps: PriceSet) -> list:
+    return [_sig(ps.lo), "inf" if ps.unbounded_above else _sig(ps.hi)]
+
+
+def _set_markdown(ps: PriceSet) -> str:
+    if ps.unbounded_above:
+        return f"[{_sig(ps.lo)}, inf)"
+    if ps.is_singleton():
+        return f"{{{_sig(ps.lo)}}}"
+    return f"[{_sig(ps.lo)}, {_sig(ps.hi)}]"
+
+
+def _table_markdown(header: Sequence[str], rows) -> str:
+    lines = [header, ["---"] * len(header), *rows]
+    return "\n".join("| " + " | ".join(map(str, cells)) + " |" for cells in lines)
+
+
+def _render(fmt: str, document, table, blocks) -> str:
+    """The one format dispatch, with the one writer of each format.
+
+    ``document()`` gives the JSON value, ``table()`` the CSV (header,
+    rows) and ``blocks()`` the markdown paragraphs and tables, each
+    called only for its own format.
+    """
+    if fmt == "json":
+        return json.dumps(document(), sort_keys=True, indent=2) + "\n"
+    if fmt == "csv":
+        header, rows = table()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buf.getvalue()
+    if fmt == "markdown":
+        return "\n\n".join(blocks()) + "\n"
+    raise UnknownFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
 def report_dict(report: PricingReport) -> dict:
@@ -118,7 +154,7 @@ def report_dict(report: PricingReport) -> dict:
             ],
         },
         "chp": {
-            "price_set": _price_set_dict(report.chp.price_set),
+            "price_set": _set_json(report.chp.price_set),
             "price_used": _sig(report.chp.price_used),
             "dual_value": _sig(report.chp.dual_value),
             "gap": _sig(report.chp.gap),
@@ -126,7 +162,7 @@ def report_dict(report: PricingReport) -> dict:
             "uplifts": {gid: _sig(v) for gid, v in report.chp.per_generator.items()},
         },
         "mchp": {
-            "price_set": _price_set_dict(report.mchp.price_set),
+            "price_set": _set_json(report.mchp.price_set),
             "case": report.mchp.case_tag,
             "epsilon_used": _sig(report.mchp.epsilon_used),
             "total_uplift": _sig(report.mchp.total_uplift),
@@ -136,78 +172,52 @@ def report_dict(report: PricingReport) -> dict:
     }
 
 
-def _render_csv(report: PricingReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "u", "x", "chp_uplift", "mchp_uplift"])
-    for e in report.dispatch.schedule:
-        writer.writerow(
-            [
-                e.id,
-                int(e.on),
-                _sig(e.output),
-                _sig(report.chp.per_generator[e.id]),
-                _sig(report.mchp.per_generator[e.id]),
-            ]
-        )
-    return buf.getvalue()
+def _generator_rows(report: PricingReport) -> list[list]:
+    """Each unit's commitment, output and its two uplifts."""
+    return [
+        [
+            e.id,
+            int(e.on),
+            _sig(e.output),
+            _sig(report.chp.per_generator[e.id]),
+            _sig(report.mchp.per_generator[e.id]),
+        ]
+        for e in report.dispatch.schedule
+    ]
 
 
-def _fmt_set(ps: PriceSet) -> str:
-    if ps.unbounded_above:
-        return f"[{_sig(ps.lo)}, inf)"
-    if ps.is_singleton():
-        return f"{{{_sig(ps.lo)}}}"
-    return f"[{_sig(ps.lo)}, {_sig(ps.hi)}]"
-
-
-def _render_markdown(report: PricingReport) -> str:
-    lines = []
-    lines.append(f"## Pricing report (demand {_sig(report.demand)} MW)")
-    lines.append("")
-    lines.append(
+def _report_markdown(report: PricingReport) -> list[str]:
+    chp, mchp = report.chp, report.mchp
+    summary = [
+        ["price set", _set_markdown(chp.price_set), _set_markdown(mchp.price_set)],
+        [
+            "price used",
+            _sig(chp.price_used),
+            _sig(mchp.price_set.representative(report.price_representative)),
+        ],
+        ["total uplift", _sig(chp.total_uplift), _sig(mchp.total_uplift)],
+        ["case", "-", mchp.case_tag],
+    ]
+    return [
+        f"## Pricing report (demand {_sig(report.demand)} MW)",
         f"Exact dispatch cost: {_sig(report.dispatch.total_cost)} "
-        f"(committed: {', '.join(report.dispatch.committed_set) or 'none'})"
-    )
-    lines.append("")
-    lines.append("| quantity | hull pricing | capped pricing |")
-    lines.append("| --- | --- | --- |")
-    lines.append(
-        f"| price set | {_fmt_set(report.chp.price_set)} | {_fmt_set(report.mchp.price_set)} |"
-    )
-    lines.append(
-        f"| price used | {_sig(report.chp.price_used)} | "
-        f"{_sig(report.mchp.price_set.representative(report.price_representative))} |"
-    )
-    lines.append(
-        f"| total uplift | {_sig(report.chp.total_uplift)} | {_sig(report.mchp.total_uplift)} |"
-    )
-    lines.append(f"| case | - | {report.mchp.case_tag} |")
-    lines.append("")
-    lines.append("| generator | u | x | hull uplift | capped uplift |")
-    lines.append("| --- | --- | --- | --- | --- |")
-    for e in report.dispatch.schedule:
-        lines.append(
-            f"| {e.id} | {int(e.on)} | {_sig(e.output)} | "
-            f"{_sig(report.chp.per_generator[e.id])} | "
-            f"{_sig(report.mchp.per_generator[e.id])} |"
-        )
-    lines.append("")
-    status = "passed" if report.checks.passed else "FAILED"
-    lines.append(f"Diagnostics: {status}")
-    lines.append("")
-    return "\n".join(lines)
+        f"(committed: {', '.join(report.dispatch.committed_set) or 'none'})",
+        _table_markdown(["quantity", "hull pricing", "capped pricing"], summary),
+        _table_markdown(
+            ["generator", "u", "x", "hull uplift", "capped uplift"], _generator_rows(report)
+        ),
+        f"Diagnostics: {'passed' if report.checks.passed else 'FAILED'}",
+    ]
 
 
 def render_report(report: PricingReport, fmt: str = "json") -> str:
     """Render a report as canonical json, csv or markdown."""
-    if fmt == "json":
-        return json.dumps(report_dict(report), sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        return _render_csv(report)
-    if fmt == "markdown":
-        return _render_markdown(report)
-    raise UnknownFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _render(
+        fmt,
+        lambda: report_dict(report),
+        lambda: (["id", "u", "x", "chp_uplift", "mchp_uplift"], _generator_rows(report)),
+        lambda: _report_markdown(report),
+    )
 
 
 class SweepRow(NamedTuple):
@@ -237,57 +247,48 @@ def load_sweep(instance: MarketInstance, demands: Sequence[float]) -> list[Sweep
             rows.append(SweepRow(d, None, None, None, "; ".join(violations)))
             continue
         chp = price_set(instance.generators, d, memo=memo)
-        mchp_set, tag = mchp_price_set_limit(instance._replace(demand=d), chp, memo=memo)
+        mchp_set, tag = mchp_price_set_limit(instance._replace(demand=d), memo=memo)
         rows.append(SweepRow(d, chp, mchp_set, tag))
     return rows
 
 
 def render_sweep(rows: Sequence[SweepRow], fmt: str = "json") -> str:
     """Render a demand sweep as canonical json, csv or markdown."""
-    if fmt == "json":
-        payload = []
-        for r in rows:
-            if r.error is not None:
-                payload.append({"demand": _sig(r.demand), "error": r.error})
-            else:
-                payload.append(
-                    {
-                        "demand": _sig(r.demand),
-                        "chp": _price_set_dict(r.chp),
-                        "mchp": _price_set_dict(r.mchp),
-                        "case": r.case_tag,
-                    }
-                )
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["demand", "chp_lo", "chp_hi", "mchp_lo", "mchp_hi", "case", "error"])
-        for r in rows:
-            if r.error is not None:
-                writer.writerow([_sig(r.demand), "", "", "", "", "", r.error])
-            else:
-                writer.writerow(
-                    [
-                        _sig(r.demand),
-                        _sig(r.chp.lo),
-                        "inf" if r.chp.unbounded_above else _sig(r.chp.hi),
-                        _sig(r.mchp.lo),
-                        "inf" if r.mchp.unbounded_above else _sig(r.mchp.hi),
-                        r.case_tag,
-                        "",
-                    ]
-                )
-        return buf.getvalue()
-    if fmt == "markdown":
-        lines = ["| demand | hull prices | capped prices | case |", "| --- | --- | --- | --- |"]
-        for r in rows:
-            if r.error is not None:
-                lines.append(f"| {_sig(r.demand)} | - | - | {r.error} |")
-            else:
-                lines.append(
-                    f"| {_sig(r.demand)} | {_fmt_set(r.chp)} | {_fmt_set(r.mchp)} | {r.case_tag} |"
-                )
-        lines.append("")
-        return "\n".join(lines)
-    raise UnknownFormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+
+    def document():
+        return [
+            {"demand": _sig(r.demand), "error": r.error}
+            if r.error is not None
+            else {
+                "demand": _sig(r.demand),
+                "chp": _set_json(r.chp),
+                "mchp": _set_json(r.mchp),
+                "case": r.case_tag,
+            }
+            for r in rows
+        ]
+
+    def table():
+        header = ["demand", "chp_lo", "chp_hi", "mchp_lo", "mchp_hi", "case", "error"]
+        return header, [
+            [_sig(r.demand), "", "", "", "", "", r.error]
+            if r.error is not None
+            else [_sig(r.demand), *_set_csv(r.chp), *_set_csv(r.mchp), r.case_tag, ""]
+            for r in rows
+        ]
+
+    def blocks():
+        header = ["demand", "hull prices", "capped prices", "case"]
+        return [
+            _table_markdown(
+                header,
+                [
+                    [_sig(r.demand), "-", "-", r.error]
+                    if r.error is not None
+                    else [_sig(r.demand), _set_markdown(r.chp), _set_markdown(r.mchp), r.case_tag]
+                    for r in rows
+                ],
+            )
+        ]
+
+    return _render(fmt, document, table, blocks)

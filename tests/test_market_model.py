@@ -170,14 +170,28 @@ def test_validate_nonfinite_fields():
         generators=(
             GeneratorSpec("g", float("inf"), PiecewiseLinear(((2.0, 1.0),)), 2.0),
             GeneratorSpec("h", 0.0, PiecewiseLinear(((math.inf, 1.0),)), math.inf),
+            GeneratorSpec("k", 0.0, Quadratic(1.0, 1.0), math.nan),
         ),
     )
     found = validate_instance(inst)
     assert "demand not finite" in found
     assert "g: startup_cost not finite" in found
     # a linear unit of x_max 1e400 in a file reads so
-    assert "h: x_max not positive" in found
+    assert "h: x_max not finite" in found
     assert "h: non-finite cost coefficient" in found
+    assert "k: x_max not finite" in found
+    assert not any("not positive" in m or "overflows" in m for m in found)
+
+
+def test_validate_fleet_cost_that_overflows_a_float():
+    """w + x_max * c'(x_max) bounds a unit's cost and Lagrangian term; the
+    fleet's sum must be finite too, not only each unit's."""
+    unit = PiecewiseLinear(((1.0, 1.0),))
+    inst = MarketInstance(
+        demand=1.0,
+        generators=(GeneratorSpec("a", 1e308, unit, 1.0), GeneratorSpec("b", 1e308, unit, 1.0)),
+    )
+    assert validate_instance(inst) == ["fleet cost at capacity overflows a float"]
 
 
 def test_validate_pwl_breakpoints_and_slopes():

@@ -214,22 +214,20 @@ def test_sweep_example_one(ex1):
     assert rows[5].error is not None and "demand not positive" in rows[5].error
 
 
-def test_sweep_prices_each_level_without_an_lnmgu_once(ex2, monkeypatch):
+def test_sweep_reprices_a_level_without_an_lnmgu_from_the_memo(ex2, monkeypatch):
     # levels 10 and 16 have no oversized unit: their capped set is the hull
-    # set, which the sweep reuses instead of pricing the fleet again
-    calls = []
-    original = hullprice.dual_pricing.price_set
-
-    def counted(*args, **kwargs):
-        calls.append(args[1] if len(args) > 1 else kwargs["demand"])
-        return original(*args, **kwargs)
-
-    for module in (hullprice.report, hullprice.mchp):
-        monkeypatch.setattr(module, "price_set", counted)
-    rows = load_sweep(ex2, [1, 4, 10, 16])
-    assert [r.case_tag for r in rows[2:]] == ["no_lnmgu", "no_lnmgu"]
-    assert rows[2].mchp == rows[2].chp and rows[3].mchp == rows[3].chp
-    assert len(calls) == 5
+    # set, which the sweep prices again from the memo without evaluating
+    # the fleet's supply again
+    counts = _count_calls(monkeypatch, [hullprice.dual_pricing.aggregate_supply])
+    rows = load_sweep(ex2, [10, 16])
+    assert [r.case_tag for r in rows] == ["no_lnmgu", "no_lnmgu"]
+    assert rows[0].mchp == rows[0].chp and rows[1].mchp == rows[1].chp
+    sweep_evals = counts["aggregate_supply"]
+    counts["aggregate_supply"] = 0
+    memo: dict = {}
+    for d in (10, 16):
+        price_set(ex2.generators, d, memo=memo)
+    assert counts["aggregate_supply"] == sweep_evals > 0
 
 
 def _per_level_sweep(instance, demands):
@@ -242,7 +240,7 @@ def _per_level_sweep(instance, demands):
             rows.append(SweepRow(d, None, None, None, "; ".join(violations)))
             continue
         chp = price_set(gens, d)
-        mchp_set, tag = mchp_price_set_limit(instance._replace(demand=d), chp)
+        mchp_set, tag = mchp_price_set_limit(instance._replace(demand=d))
         rows.append(SweepRow(d, chp, mchp_set, tag))
     return rows
 
@@ -295,7 +293,9 @@ def test_sweep_memo_saves_most_supply_evaluations(monkeypatch):
     rows = load_sweep(inst, grid)
     assert rows == want
     assert {r.case_tag for r in rows} >= {"lnmgu_marginal", "no_lnmgu"}
-    assert counts["aggregate_supply"] <= 0.45 * without_memo
+    # without a memo a level with no oversized unit prices its hull set
+    # twice, once for each side
+    assert counts["aggregate_supply"] <= 0.35 * without_memo
 
 
 def test_sweep_renderings(ex1):
@@ -543,6 +543,49 @@ def test_cli_unreadable_file_exits_2(tmp_path, capsys):
     latin1.write_bytes(b'{"demand": 4, "generators": [{"id": "\xe9", "w": 0}]}')
     assert main([str(latin1)]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "demand, w, curve, x_max",
+    [
+        (1, 1e308, {"linear": 1e308}, 5),
+        (1, 0, {"linear": 1e300}, 1e10),
+        (1e200, 0, {"quadratic": {"a": 1, "q": 1e200}}, 1e201),
+        (1, 0, {"quadratic": {"a": 1, "q": 1}}, 1e200),
+    ],
+    ids=["start-up plus linear", "linear", "steep quadratic", "wide quadratic"],
+)
+def test_cli_cost_that_overflows_a_float_exits_2(tmp_path, capsys, demand, w, curve, x_max):
+    # each file passed validation before, and was then priced as
+    # infeasible or failed its checks on inf - inf arithmetic
+    spec = {"demand": demand, "generators": [{"id": "a", "w": w, "curve": curve, "x_max": x_max}]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(spec))
+    assert main([str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: a: cost at x_max overflows a float\n")
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (hullprice.PricingError, 1),
+        (hullprice.DomainError, 1),
+        (hullprice.StalePriceError, 1),
+        (hullprice.SchemaError, 2),
+        (hullprice.ValidationError, 2),
+        (hullprice.UnknownFormatError, 2),
+        (hullprice.InfeasibleError, 3),
+        (hullprice.SizeError, 4),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_cli_exit_code_follows_the_error_type(ex1_file, capsys, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error("[stage] what went wrong")
+
+    monkeypatch.setattr(hullprice.cli, "run_pipeline", fail)
+    assert main([ex1_file]) == code
+    assert capsys.readouterr() == ("", "error: [stage] what went wrong\n")
 
 
 def test_cli_rejects_unknown_format(ex1_file):
