@@ -11,6 +11,7 @@ gap to the exact dispatch cost equals the total uplift paid when
 settling at p, generator by generator.
 """
 
+import bisect
 import math
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -118,6 +119,39 @@ def _bisect(lo: float, hi: float, pred) -> tuple[float, float]:
     return lo, hi
 
 
+def _known_pred(prices: list, supplies: list, supply_at, test):
+    """``test(supply_at(p))``, decided from the known supplies where they can.
+
+    ``supplies`` holds the supply at each of the sorted ``prices``, so a
+    ``test`` monotone in supply fails up to a price ``fails`` and passes
+    from the next, ``passes``.  Only a price strictly between the two is
+    evaluated; it joins the lists and takes the place of one of them.
+    An insert moves every other predicate's switch, so each predicate is
+    used up before the next is made on the same lists.
+    """
+    k = bisect.bisect_left(supplies, True, key=test)
+    fails = prices[k - 1] if k else -math.inf
+    passes = prices[k] if k < len(prices) else math.inf
+
+    def pred(p: float) -> bool:
+        nonlocal k, fails, passes
+        if p <= fails:
+            return False
+        if p >= passes:
+            return True
+        s = supply_at(p)
+        prices.insert(k, p)
+        supplies.insert(k, s)
+        if test(s):
+            passes = p
+            return True
+        fails = p
+        k += 1
+        return False
+
+    return pred
+
+
 def price_set(
     gens: Sequence[GeneratorSpec],
     demand: float,
@@ -135,13 +169,20 @@ def price_set(
     short and passes the upper one unless the set is a ray.
 
     ``memo`` is internal to ``load_sweep``: a dict, owned by the caller,
-    from (units, caps) to that fleet's aggregate supply by price.  Supply
-    does not depend on demand and every level's bisection starts from the
-    same bracket, so a sweep asks for the same prices again.  A supply
-    looked up is the one evaluation would return, so the set is
-    bit-identical with or without a memo.  Without one every price is
+    from (units, caps) to the prices that fleet's aggregate supply was
+    evaluated at, sorted, and the supplies there.  Supply does not
+    depend on demand and never falls as price rises, float for float:
+    each unit's ends come from comparisons, ``min``/``max``, subtracting
+    a constant and dividing by a positive one, and a correctly rounded
+    sum does not fall when a term rises.  Each bisection's test is
+    monotone in supply, so it switches once along the known prices,
+    between a ``fails`` and a ``passes`` price.  A step at or below
+    ``fails`` or at or above ``passes`` is decided without evaluating
+    the fleet; a step between is evaluated, kept, and narrows the pair.
+    A decided step is the answer evaluation would give, so the set is
+    bit-identical with or without a memo.  Without one every step is
     evaluated: a report prices one demand, and keeping its supplies for
-    the call costs more than the rare price its two bisections share.
+    the call costs more than the steps its two bisections share.
     """
     gens = tuple(gens)
     caps = _resolve_caps(gens, caps)
@@ -151,33 +192,31 @@ def price_set(
         raise InfeasibleError(f"total capacity {capacity} below demand {demand}")
 
     p_ub = _price_upper_bound(gens, caps)
+    target = rule.served(capacity) - rule.slack
 
     if memo is None:
 
-        def supply_at(p: float) -> Interval:
-            return aggregate_supply(gens, p, caps)
+        def decide(test):
+            return lambda p: test(aggregate_supply(gens, p, caps))
 
     else:
-        known = memo.setdefault((gens, tuple(caps)), {})
+        known = memo.setdefault((gens, tuple(caps)), ([], []))
 
-        def supply_at(p: float) -> Interval:
-            s = known.get(p)
-            if s is None:
-                s = known[p] = aggregate_supply(gens, p, caps)
-            return s
+        def decide(test):
+            return _known_pred(*known, lambda p: aggregate_supply(gens, p, caps), test)
 
-    target = rule.served(capacity) - rule.slack
-    if supply_at(0.0).hi >= target:
+    reaches = decide(lambda s: s.hi >= target)
+    if reaches(0.0):
         lower = 0.0
     else:
-        _, lower = _bisect(0.0, p_ub, lambda p: supply_at(p).hi >= target)
+        _, lower = _bisect(0.0, p_ub, reaches)
 
     if rule.ray(capacity):
         # at full output the market only just covers demand; every higher
         # price still clears
         return PriceSet(lo=lower, hi=math.inf, unbounded_above=True)
 
-    upper, _ = _bisect(lower, p_ub, lambda p: supply_at(p).lo > demand + rule.slack)
+    upper, _ = _bisect(lower, p_ub, decide(lambda s: s.lo > demand + rule.slack))
     return PriceSet(lo=lower, hi=max(upper, lower), unbounded_above=False)
 
 

@@ -7,13 +7,20 @@ import pytest
 
 from hullprice import (
     PriceSet,
+    Quadratic,
     StalePriceError,
     aggregate_supply,
+    classify_lnmgu,
+    default_epsilon,
     dual_value,
+    ec_min,
+    hull_cost,
     price_set,
     solve_primal,
     uplifts,
 )
+from hullprice.market_model import CapacityRule
+from hullprice.tolerances import PRICE_EQ_TOL
 
 import oracles
 from conftest import make_instance
@@ -226,3 +233,62 @@ def test_weak_duality():
         hi = ps.lo + 2.0 if ps.unbounded_above else ps.hi
         for p in (0.0, 0.5 * ps.lo, ps.lo, hi, hi + 1.0, hi + 10.0):
             assert dual_value(gens, d, p) <= v + 1e-7 * max(1.0, abs(v))
+
+
+def _supply_breaks(gens, caps):
+    """Each unit's threshold +- PRICE_EQ_TOL, PWL slopes and quadratic ramp ends,
+    with the float on either side of each."""
+    breaks = []
+    for g, cap in zip(gens, caps):
+        hull = hull_cost(g, cap)
+        edges = [hull.threshold - PRICE_EQ_TOL, hull.threshold, hull.threshold + PRICE_EQ_TOL]
+        if isinstance(g.curve, Quadratic):
+            edges += [g.curve.a + g.curve.q * hull.knee, g.curve.a + g.curve.q * cap]
+        else:
+            edges += [slope for _, slope in g.curve.segments]
+        for p in edges:
+            breaks += [math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)]
+    return breaks
+
+
+def _lnmgu_caps(inst):
+    """The caps of the two capped rules, at half the fleet's largest minimal
+    economic output, where the unit with that output is an LNMGU: large
+    units at served(x_max), and the binding one at demand + epsilon."""
+    gens = inst.generators
+    knee = max(ec_min(g) for g in gens)
+    if knee == 0.0:
+        return []
+    inst = inst._replace(demand=0.5 * knee)
+    part = classify_lnmgu(inst, default_epsilon(inst))
+    assert part.large
+    served = CapacityRule(inst.demand).served
+    return [
+        [served(g.x_max) if g.id in part.large else g.x_max for g in gens],
+        [inst.demand + part.epsilon if g.id == part.min_avg_id else g.x_max for g in gens],
+    ]
+
+
+@pytest.mark.parametrize("mw, money", [(1.0, 1.0), (1e-3, 1e4), (1e3, 1e-3), (1e6, 1e6)])
+def test_aggregate_supply_never_falls_as_price_rises(mw, money):
+    # a sweep's memo decides a bisection step from a supply known at
+    # another price, which is exact only if both ends of aggregate supply
+    # are nondecreasing in p float for float, rounding included
+    rng = random.Random(18)
+    fleets = [oracles.random_instance(rng) for _ in range(24)]
+    fleets += [oracles.mixed_fleet(rng, 8) for _ in range(4)]
+    capped = 0
+    for inst in fleets:
+        inst = oracles.scale_instance(inst, mw, money)
+        gens = list(inst.generators)
+        capped_caps = _lnmgu_caps(inst)
+        capped += len(capped_caps)
+        for caps in [None] + capped_caps:
+            full = caps or [g.x_max for g in gens]
+            top = oracles.price_grid_upper_bound(gens, full)
+            grid = [top * k / 150 for k in range(151)]
+            prices = sorted(p for p in grid + _supply_breaks(gens, full) if p >= 0.0)
+            supplies = [aggregate_supply(gens, p, caps) for p in prices]
+            for below, above, p in zip(supplies, supplies[1:], prices[1:]):
+                assert below.lo <= above.lo and below.hi <= above.hi, p
+    assert capped >= 20
