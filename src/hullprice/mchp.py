@@ -24,7 +24,7 @@ from .dual_pricing import PriceSet, UpliftReport, lost_profits, price_set
 from .errors import DomainError, StalePriceError
 from .market_model import CapacityRule, GeneratorSpec, MarketInstance
 from .primal_solver import DispatchSolution
-from .tolerances import STALE_PRICE_TOL
+from .tolerances import DOMINANCE_SLACK, EPSILON_SHARE, PRICE_TOL, STALE_PRICE_TOL
 
 # case tags for the vanishing-margin price set
 CASE_NO_LNMGU = "no_lnmgu"
@@ -32,22 +32,19 @@ CASE_LNMGU_MARGINAL = "lnmgu_marginal"
 CASE_INTERVAL_UPPER_CAPPED = "interval_upper_capped"
 CASE_LNMGU_IRRELEVANT = "lnmgu_irrelevant"
 
-_ENDPOINT_TOL = 1e-9
-
 
 class LnmguPartition(NamedTuple):
     """Split of the fleet around demand scale at margin epsilon.
 
     ``large`` holds ids whose minimal economic output exceeds their
     contract cap (all of them necessarily have capacity above demand);
-    ``regular`` holds the rest.  ``min_avg_id`` is the large unit with the
+    every other unit is regular.  ``min_avg_id`` is the large unit with the
     lowest average total cost at demand + epsilon, the only one that can
     bind in the capped dual.  ``epsilon`` is the margin actually used
     after auto-shrinking below the smallest large-unit headroom.
     """
 
     large: tuple[str, ...]
-    regular: tuple[str, ...]
     min_avg_id: str | None
     epsilon: float
 
@@ -85,7 +82,7 @@ class DiagnosticsReport(NamedTuple):
 
 def default_epsilon(instance: MarketInstance) -> float:
     """Margin used for numeric cross-checks of the analytic limit."""
-    return 1e-6 * instance.demand
+    return EPSILON_SHARE * instance.demand
 
 
 def classify_lnmgu(instance: MarketInstance, epsilon: float) -> LnmguPartition:
@@ -101,15 +98,12 @@ def classify_lnmgu(instance: MarketInstance, epsilon: float) -> LnmguPartition:
     d = instance.demand
     rule = CapacityRule(d)
     large: list[GeneratorSpec] = []
-    regular: list[str] = []
     headroom = math.inf
     for g in instance.generators:
         floor = ec_min(g)
         if floor > rule.served(g.x_max) + rule.tol:
             large.append(g)
             headroom = min(headroom, floor - d)
-        else:
-            regular.append(g.id)
 
     eps_used = 0.5 * headroom if epsilon >= headroom else epsilon
     min_avg_id = None
@@ -119,7 +113,6 @@ def classify_lnmgu(instance: MarketInstance, epsilon: float) -> LnmguPartition:
         min_avg_id = min(by_id, key=lambda g: average_total_cost(g, d + eps_used)).id
     return LnmguPartition(
         large=tuple(g.id for g in large),
-        regular=tuple(regular),
         min_avg_id=min_avg_id,
         epsilon=eps_used,
     )
@@ -177,17 +170,14 @@ def _limit_set(
     # the capped dual prices the regular fleet inside one that serves all
     # of demand, so it sets the price only if it clears demand by itself
     if not regulars or not CapacityRule(d).clears(sum(g.x_max for g in regulars)):
-        return PriceSet(lo=p_bar, hi=p_bar, unbounded_above=False), CASE_LNMGU_MARGINAL
+        return PriceSet(lo=p_bar, hi=p_bar), CASE_LNMGU_MARGINAL
 
     reduced = price_set(regulars, d, memo=memo)
-    if not reduced.unbounded_above and reduced.hi < p_bar - _ENDPOINT_TOL:
+    if reduced.hi < p_bar - PRICE_TOL:
         return reduced, CASE_LNMGU_IRRELEVANT
-    if reduced.lo >= p_bar - _ENDPOINT_TOL:
-        return PriceSet(lo=p_bar, hi=p_bar, unbounded_above=False), CASE_LNMGU_MARGINAL
-    return (
-        PriceSet(lo=reduced.lo, hi=p_bar, unbounded_above=False),
-        CASE_INTERVAL_UPPER_CAPPED,
-    )
+    if reduced.lo >= p_bar - PRICE_TOL:
+        return PriceSet(lo=p_bar, hi=p_bar), CASE_LNMGU_MARGINAL
+    return PriceSet(lo=reduced.lo, hi=p_bar), CASE_INTERVAL_UPPER_CAPPED
 
 
 def mchp_uplifts(instance: MarketInstance, dispatch: DispatchSolution, p: float) -> MchpResult:
@@ -203,8 +193,7 @@ def mchp_uplifts(instance: MarketInstance, dispatch: DispatchSolution, p: float)
     limit_set, tag = _limit_set(instance, part)
     if not limit_set.contains(p, tol=STALE_PRICE_TOL):
         raise StalePriceError(
-            f"price {p} is outside the capped clearing set [{limit_set.lo}, "
-            f"{'inf' if limit_set.unbounded_above else limit_set.hi}]"
+            f"price {p} is outside the capped clearing set [{limit_set.lo}, {limit_set.hi}]"
         )
     large = set(part.large)
     rule = CapacityRule(instance.demand)
@@ -245,34 +234,27 @@ def diagnostics(
         kept = mchp_price_set_eps(instance, part.epsilon)
         gens = instance.generators
         full = price_set(gens, d, [d + part.epsilon if g.id in large else g.x_max for g in gens])
-        reduction_ok = abs(kept.lo - full.lo) <= _ENDPOINT_TOL and (
-            kept.unbounded_above == full.unbounded_above
-            if (kept.unbounded_above or full.unbounded_above)
-            else abs(kept.hi - full.hi) <= _ENDPOINT_TOL
+        reduction_ok = abs(kept.lo - full.lo) <= PRICE_TOL and (
+            kept.hi == full.hi or abs(kept.hi - full.hi) <= PRICE_TOL
         )
 
         # the closed-form limit must agree with a small positive margin.
         # Average cost falls on (d, d + eps) and marginal cost is
         # nonnegative, so the margin lowers p_bar by at most eps * p_bar / d.
         p_bar = min(average_total_cost(g, d) for g in gens if g.id in large)
-        gap = part.epsilon * p_bar / d + _ENDPOINT_TOL
+        gap = part.epsilon * p_bar / d + PRICE_TOL
         limit = mchp_result.price_set
         limit_ok = abs(kept.lo - limit.lo) <= gap and (
-            limit.unbounded_above
-            or kept.unbounded_above
-            or abs(kept.hi - limit.hi) <= gap
+            math.inf in (limit.hi, kept.hi) or abs(kept.hi - limit.hi) <= gap
         )
 
     # capped prices sit inside the hull price set or strictly above it
     hull_set = chp_report.price_set
-    endpoints = [mchp_result.price_set.lo]
-    if not mchp_result.price_set.unbounded_above:
-        endpoints.append(mchp_result.price_set.hi)
     ordering_ok = all(
-        hull_set.contains(e, tol=_ENDPOINT_TOL) or e > hull_set.hi for e in endpoints
+        hull_set.contains(e, tol=PRICE_TOL) or e > hull_set.hi for e in mchp_result.price_set
     )
 
-    dominance_ok = mchp_result.total_uplift <= chp_report.total_uplift + 1e-6
+    dominance_ok = mchp_result.total_uplift <= chp_report.total_uplift + DOMINANCE_SLACK
 
     return DiagnosticsReport(
         single_large_unit_committed=single_large,

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .errors import InfeasibleError, SizeError
 from .market_model import CapacityRule, GeneratorSpec, MarketInstance, Quadratic
-from .tolerances import BOUND_SLACK
+from .tolerances import BOUND_SLACK, DISPATCH_ROOM
 
 MAX_GENERATORS = 24
 
@@ -89,7 +89,7 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     breaks = sorted(prices)
 
     need = rule.served(capacity)
-    target = need - 1e-12 * max(1.0, abs(demand))
+    target = need - DISPATCH_ROOM * max(1.0, abs(demand))
     # first breakpoint whose ceiling reaches the target; past the last one
     # every unit is at capacity
     k, top = 0, len(breaks) - 1

@@ -1,9 +1,19 @@
 """Numeric tolerances used across the package."""
 
+# Prices this close are one price ($/MWh): a price set this narrow is a
+# single price, a reduced fleet's endpoint this close to p_bar meets it,
+# and two price sets whose endpoints agree this closely are the same set.
+PRICE_TOL = 1e-9
+
+# Width at which bisection stops bracketing a price-set endpoint ($/MWh).
+# Well below PRICE_EQ_TOL, so a bracketed endpoint sits inside the band
+# of the threshold that sets it.
+PRICE_WIDTH = 5e-13
+
 # Half-width of the band in which a price counts as exactly at a supply
-# threshold.  Two orders of magnitude below the 1e-9 price reporting
-# tolerance (but still well above the 5e-13 bisection bracket width), so
-# bisected price-set endpoints stay far inside that tolerance.
+# threshold.  Two orders of magnitude below PRICE_TOL (but still well
+# above the PRICE_WIDTH bisection bracket), so bisected price-set
+# endpoints stay far inside that tolerance.
 PRICE_EQ_TOL = 1e-11
 
 # Slack for comparing MW with demand (MW); see demand_tol.
@@ -27,6 +37,23 @@ BOUND_SLACK = 2.0**-40
 # How far a settlement price may drift outside the computed price set
 # before it is rejected as stale ($/MWh).
 STALE_PRICE_TOL = 1e-6
+
+# Capped total uplift may exceed hull total uplift by this much before
+# the dominance diagnostic fails ($): room for the rounding of two sums
+# of per-unit profit differences.  It is absolute, so it does not scale
+# with the instance's money unit [units].
+DOMINANCE_SLACK = 1e-6
+
+# Default margin of the capped dual, as a share of demand (MW per MW).
+# The margin lowers p_bar by at most this share of p_bar, so the price
+# set at that margin stays that close to the vanishing-margin limit.
+EPSILON_SHARE = 1e-6
+
+# Room, per MW of demand (at least 1 MW), by which economic dispatch's
+# output ceiling may miss the served amount at a breakpoint and still
+# reach it: the ceiling is a sum of rounded unit outputs, so one that
+# meets the served amount exactly can read a few ulps below it.
+DISPATCH_ROOM = 1e-12
 
 # How far outside [0, x_max] an output or cap may fall before cost
 # evaluation refuses it (MW).

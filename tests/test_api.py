@@ -1,9 +1,10 @@
 """The package's exported names, the names the benchmark tracer patches,
-and how the sources cite ROADMAP."""
+how the sources cite ROADMAP, and where tolerances live."""
 
 import importlib
 import importlib.util
 import re
+import tokenize
 from pathlib import Path
 
 import hullprice
@@ -44,3 +45,17 @@ def test_roadmap_items_are_cited_by_tag():
         if numbered.search(line)
     ]
     assert cited == []
+
+
+def test_every_tolerance_is_read_from_tolerances():
+    """A literal with a negative exponent, such as 1e-9, is a tolerance;
+    under ``src/`` it belongs in ``tolerances.py`` with its unit and reason."""
+    literals = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        if path.name == "tolerances.py":
+            continue
+        with path.open("rb") as source:
+            for token in tokenize.tokenize(source.readline):
+                if token.type == tokenize.NUMBER and re.search(r"[eE]-", token.string):
+                    literals.append(f"{path.relative_to(ROOT)}:{token.start[0]}: {token.string}")
+    assert literals == []

@@ -123,6 +123,8 @@ def test_ray_when_capacity_equals_demand():
     for p in (ps.lo, ps.lo + 5.0):
         rep = uplifts(inst, sol, p)
         assert rep.total_uplift == pytest.approx(rep.gap, abs=1e-9)
+    with pytest.raises(StalePriceError, match=r"clearing set \[[0-9.]+, inf\]$"):
+        uplifts(inst, sol, ps.lo - 1.0)
         assert rep.total_uplift >= -1e-9
 
 
@@ -156,7 +158,10 @@ def test_representative_kinds():
     assert not ps.is_singleton()
     assert PriceSet(2.0, 2.0).is_singleton()
     assert ps.contains(1.0) and ps.contains(3.0) and not ps.contains(3.5)
-    assert PriceSet(1.0, math.inf, True).contains(1e9)
+    ray = PriceSet(1.0, math.inf)
+    assert ray.unbounded_above and not ps.unbounded_above
+    assert ray.contains(1e9) and not ray.contains(0.5) and not ray.is_singleton()
+    assert [ray.representative(kind) for kind in ("lo", "mid", "hi")] == [1.0] * 3
 
 
 def test_total_uplift_equals_gap_at_every_representative():

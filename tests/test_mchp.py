@@ -26,14 +26,12 @@ from conftest import make_instance
 def test_classify_example_two(ex2):
     part = classify_lnmgu(ex2, default_epsilon(ex2))
     assert part.large == ("g2", "g3")
-    assert part.regular == ("g1",)
     assert part.min_avg_id == "g3"
 
 
 def test_classify_example_three(ex3):
     part = classify_lnmgu(ex3, default_epsilon(ex3))
     assert part.large == ("g1",)
-    assert part.regular == ("g2",)
     assert part.min_avg_id == "g1"
 
 

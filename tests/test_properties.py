@@ -119,6 +119,40 @@ def test_every_check_passes_in_any_units(mw, money):
     assert failed == []
 
 
+CLAIM_SCALINGS = [
+    (1.0, 1.0),
+    (1e-3, 1e4),
+    pytest.param(
+        1e3,
+        1e-3,
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="prices here are 1e-6 of the unscaled ones, where absolute "
+            "price tolerances are coarse [units]",
+        ),
+    ),
+    (1e6, 1e6),
+]
+
+
+@pytest.mark.parametrize("mw, money", CLAIM_SCALINGS)
+def test_capped_uplift_is_at_most_hull_uplift_across_demand(mw, money):
+    """The paper's claim at every demand, not just one per fleet: capped
+    total uplift never exceeds hull total uplift, to rounding of the
+    dispatch cost."""
+    rng = random.Random(19)
+    above = []
+    for k in range(30):
+        inst = oracles.random_instance(rng)
+        for _ in range(8):
+            level = inst._replace(demand=rng.uniform(0.05, 1.0) * inst.total_capacity)
+            rep = run_pipeline(oracles.scale_instance(level, mw, money))
+            room = 1e-9 * abs(rep.dispatch.total_cost)
+            if rep.mchp.total_uplift > rep.chp.total_uplift + room:
+                above.append((k, level.demand, rep.mchp.total_uplift, rep.chp.total_uplift))
+    assert above == []
+
+
 def test_generator_order_does_not_change_results():
     rng = random.Random(806)
     for _ in range(300):
