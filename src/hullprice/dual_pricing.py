@@ -193,10 +193,10 @@ def price_set(
     p_ub = _price_upper_bound(gens, caps)
     target = rule.served(capacity) - rule.slack
 
-    shared = memo.setdefault((gens, tuple(caps)), ([], [])) if memo is not None else None
-
     def decide(test):
-        prices, supplies = shared or ([], [])
+        prices, supplies = (
+            memo.setdefault((gens, tuple(caps)), ([], [])) if memo is not None else ([], [])
+        )
         return _known_pred(prices, supplies, lambda p: aggregate_supply(gens, p, caps), test)
 
     reaches = decide(lambda s: s.hi >= target)

@@ -123,9 +123,9 @@ def test_ray_when_capacity_equals_demand():
     for p in (ps.lo, ps.lo + 5.0):
         rep = uplifts(inst, sol, p)
         assert rep.total_uplift == pytest.approx(rep.gap, abs=1e-9)
+        assert rep.total_uplift >= -1e-9
     with pytest.raises(StalePriceError, match=r"clearing set \[[0-9.]+, inf\]$"):
         uplifts(inst, sol, ps.lo - 1.0)
-        assert rep.total_uplift >= -1e-9
 
 
 def test_price_set_interval_from_flat_supply():
