@@ -71,29 +71,20 @@ class UpliftReport(NamedTuple):
     price_set: PriceSet
 
 
-def _resolve_caps(gens: Sequence[GeneratorSpec], caps: Sequence[float] | None):
-    if caps is None:
-        return [g.x_max for g in gens]
-    return list(caps)
-
-
-def aggregate_supply(
-    gens: Sequence[GeneratorSpec], p: float, caps: Sequence[float] | None = None
-) -> Interval:
+def aggregate_supply(gens: Sequence[GeneratorSpec], p: float) -> Interval:
     """Sum of all generators' optimal output ranges at price p."""
-    caps = _resolve_caps(gens, caps)
     lo = 0.0
     hi = 0.0
-    for g, cap in zip(gens, caps):
-        s = supply_correspondence(g, p, cap)
+    for g in gens:
+        s = supply_correspondence(g, p)
         lo += s.lo
         hi += s.hi
     return Interval(lo, hi)
 
 
-def _price_upper_bound(gens, caps) -> float:
-    worst_avg = max(average_total_cost(g, cap) for g, cap in zip(gens, caps))
-    worst_marginal = max(g.curve.slope_left(cap) for g, cap in zip(gens, caps))
+def _price_upper_bound(gens) -> float:
+    worst_avg = max(average_total_cost(g, g.x_max) for g in gens)
+    worst_marginal = max(g.curve.slope_left(g.x_max) for g in gens)
     return worst_avg + worst_marginal + 1.0
 
 
@@ -152,7 +143,6 @@ def _known_pred(prices: list, supplies: list, supply_at, test):
 def price_set(
     gens: Sequence[GeneratorSpec],
     demand: float,
-    caps: Sequence[float] | None = None,
     *,
     memo: dict | None = None,
 ) -> PriceSet:
@@ -161,9 +151,10 @@ def price_set(
     The lower endpoint is the first price at which supply reaches the
     served amount less the crossing slack of ``CapacityRule``, the upper
     one the last at which supply does not pass demand plus it.  Every
-    unit runs at its cap at the bisection's upper bound, so supply there
+    unit runs at its x_max at the bisection's upper bound, so supply there
     is the capacity, which reaches the lower crossing unless the fleet is
-    short and passes the upper one unless the set is a ray.
+    short and passes the upper one unless the set is a ray.  A capped
+    unit is the unit with a lower x_max, ``g._replace(x_max=cap)``.
 
     Each bisection keeps the prices it evaluated aggregate supply at,
     sorted, and the supplies there, and ``_known_pred`` decides from them
@@ -175,7 +166,7 @@ def price_set(
     the set is bit-identical whatever is known.
 
     ``memo`` is internal to ``load_sweep``: a dict, owned by the caller,
-    from (units, caps) to those lists, shared by every bisection of the
+    from the units to those lists, shared by every bisection of the
     fleet at every demand.  Without it each bisection starts from its
     own empty lists, so every step it takes is evaluated.  Sharing them
     across a report's two bisections runs reports 1.41-1.64x faster, not
@@ -184,20 +175,17 @@ def price_set(
     bound [bench].
     """
     gens = tuple(gens)
-    caps = _resolve_caps(gens, caps)
-    capacity = sum(min(cap, g.x_max) for g, cap in zip(gens, caps))
+    capacity = sum(g.x_max for g in gens)
     rule = CapacityRule(demand)
     if rule.short(capacity):
         raise InfeasibleError(f"total capacity {capacity} below demand {demand}")
 
-    p_ub = _price_upper_bound(gens, caps)
+    p_ub = _price_upper_bound(gens)
     target = rule.served(capacity) - rule.slack
 
     def decide(test):
-        prices, supplies = (
-            memo.setdefault((gens, tuple(caps)), ([], [])) if memo is not None else ([], [])
-        )
-        return _known_pred(prices, supplies, lambda p: aggregate_supply(gens, p, caps), test)
+        prices, supplies = memo.setdefault(gens, ([], [])) if memo is not None else ([], [])
+        return _known_pred(prices, supplies, lambda p: aggregate_supply(gens, p), test)
 
     reaches = decide(lambda s: s.hi >= target)
     if reaches(0.0):
@@ -223,16 +211,17 @@ def lost_profits(
     instance: MarketInstance,
     dispatch: DispatchSolution,
     p: float,
-    caps: Sequence[float],
+    units: Sequence[GeneratorSpec],
 ) -> dict[str, float]:
-    """Each unit's best profit at p within its cap minus what its schedule earns.
+    """Each unit's best profit at p minus what its schedule earns.
 
-    ``dispatch.schedule`` lists the units in instance order.
+    ``units``, which may be capped, and ``dispatch.schedule`` list the units
+    in instance order; the schedule is costed on the instance's own units.
     """
     per = {}
-    for g, entry, cap in zip(instance.generators, dispatch.schedule, caps, strict=True):
+    for g, entry, unit in zip(instance.generators, dispatch.schedule, units, strict=True):
         actual = p * entry.output - cost_eval(g, entry.output, entry.on)
-        per[g.id] = profit(g, p, cap) - actual
+        per[g.id] = profit(unit, p) - actual
     return per
 
 
@@ -248,7 +237,7 @@ def uplifts(instance: MarketInstance, dispatch: DispatchSolution, p: float) -> U
     ps = price_set(gens, instance.demand)
     if not ps.contains(p, tol=STALE_PRICE_TOL):
         raise StalePriceError(f"price {p} is outside the clearing set [{ps.lo}, {ps.hi}]")
-    per = lost_profits(instance, dispatch, p, [g.x_max for g in gens])
+    per = lost_profits(instance, dispatch, p, gens)
     vd = dual_value(gens, instance.demand, p)
     return UpliftReport(
         price_used=p,

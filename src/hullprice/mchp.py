@@ -6,7 +6,8 @@ still falling at demand) distorts hull-based prices downward: the price
 must make room for output levels that can never be scheduled.  Capping
 such units at demand (plus a vanishing margin) in the dual removes the
 distortion, raises the clearing price and shrinks total uplift, while
-every other generator keeps its full capacity.
+every other generator keeps its full capacity.  A capped unit is the same
+unit with a lower x_max, ``g._replace(x_max=cap)``.
 
 Only the capped unit with the lowest average total cost at the cap ever
 binds, so at most one such unit is retained in the capped dual; the rest
@@ -118,6 +119,11 @@ def classify_lnmgu(instance: MarketInstance, epsilon: float) -> LnmguPartition:
     )
 
 
+def _capped(gens, ids, cap: float) -> list[GeneratorSpec]:
+    """The fleet with every unit in ``ids`` capped: its x_max lowered to ``cap``."""
+    return [g._replace(x_max=cap) if g.id in ids else g for g in gens]
+
+
 def mchp_price_set_eps(instance: MarketInstance, epsilon: float) -> PriceSet:
     """Clearing prices of the capped dual at a positive margin.
 
@@ -128,8 +134,8 @@ def mchp_price_set_eps(instance: MarketInstance, epsilon: float) -> PriceSet:
     if not part.large:
         return price_set(list(instance.generators), instance.demand)
     kept = [g for g in instance.generators if g.id not in part.large or g.id == part.min_avg_id]
-    caps = [instance.demand + part.epsilon if g.id == part.min_avg_id else g.x_max for g in kept]
-    return price_set(kept, caps=caps, demand=instance.demand)
+    kept = _capped(kept, {part.min_avg_id}, instance.demand + part.epsilon)
+    return price_set(kept, instance.demand)
 
 
 def mchp_price_set_limit(
@@ -195,10 +201,9 @@ def mchp_uplifts(instance: MarketInstance, dispatch: DispatchSolution, p: float)
         raise StalePriceError(
             f"price {p} is outside the capped clearing set [{limit_set.lo}, {limit_set.hi}]"
         )
-    large = set(part.large)
-    rule = CapacityRule(instance.demand)
-    caps = [rule.served(g.x_max) if g.id in large else g.x_max for g in instance.generators]
-    per = lost_profits(instance, dispatch, p, caps)
+    # a large unit's x_max exceeds demand, so demand is its contract cap
+    units = _capped(instance.generators, part.large, instance.demand)
+    per = lost_profits(instance, dispatch, p, units)
     return MchpResult(
         price_set=limit_set,
         case_tag=tag,
@@ -233,7 +238,7 @@ def diagnostics(
         # dropping all non-binding large units must not move the eps price set
         kept = mchp_price_set_eps(instance, part.epsilon)
         gens = instance.generators
-        full = price_set(gens, d, [d + part.epsilon if g.id in large else g.x_max for g in gens])
+        full = price_set(_capped(gens, large, d + part.epsilon), d)
         reduction_ok = abs(kept.lo - full.lo) <= PRICE_TOL and (
             kept.hi == full.hi or abs(kept.hi - full.hi) <= PRICE_TOL
         )

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import re
 from contextlib import contextmanager
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -113,9 +114,14 @@ def _set_markdown(ps: PriceSet) -> str:
     return f"[{_sig(ps.lo)}, {_sig(ps.hi)}]"
 
 
+def _cell_markdown(cell) -> str:
+    # a bare pipe would split the cell and a line break would end the row
+    return re.sub(r"\r\n?|\n", "<br>", str(cell).replace("|", "\\|"))
+
+
 def _table_markdown(header: Sequence[str], rows) -> str:
     lines = [header, ["---"] * len(header), *rows]
-    return "\n".join("| " + " | ".join(map(str, cells)) + " |" for cells in lines)
+    return "\n".join("| " + " | ".join(map(_cell_markdown, cells)) + " |" for cells in lines)
 
 
 def _render(fmt: str, document, table, blocks) -> str:

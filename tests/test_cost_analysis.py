@@ -244,7 +244,7 @@ def test_profit_nonpositive_price():
 
 def test_profit_capped_quadratic_stays_off():
     # 5.6 * 4 - 16 - 8 = -1.6: running never pays at this cap
-    assert profit(EX2_G2, 5.6, cap=4) == 0
+    assert profit(EX2_G2._replace(x_max=4.0), 5.6) == 0
 
 
 def test_profit_strictly_on():

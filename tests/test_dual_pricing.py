@@ -6,6 +6,8 @@ import random
 import pytest
 
 from hullprice import (
+    GeneratorSpec,
+    PiecewiseLinear,
     PriceSet,
     Quadratic,
     StalePriceError,
@@ -46,10 +48,25 @@ def test_price_set_example_four(ex4):
 
 
 def test_price_set_respects_cap_override(ex1):
-    # shrinking the unit's cap to 5 moves its break-even price to (12+5)/5
-    ps = price_set(ex1.generators, ex1.demand, caps=[5.0])
-    assert ps.lo == pytest.approx(3.4, abs=1e-9)
-    assert ps.hi == pytest.approx(3.4, abs=1e-9)
+    # a capped unit is the unit with a lower x_max; below its knee, its
+    # break-even price is its average cost at the cap, and a curve that
+    # runs past the cap prices as if cut there
+    pwl = PiecewiseLinear(((2.0, 1.0), (6.0, 3.0)))
+    kinked = PiecewiseLinear(((2.0, 1.0), (4.0, 3.0), (8.0, 5.0)))
+    cases = [
+        # ex1 at cap 5: (12 + 5) / 5
+        (ex1.generators[0]._replace(x_max=5.0), ex1.demand, 3.4),
+        # inside the second segment: (6 + 2 + 3 * 2) / 4
+        (GeneratorSpec("pwl", 6.0, pwl, 4.0), 3.0, 3.5),
+        # at the kink at 4, whose own knee is 8: (20 + 2 + 3 * 2) / 4
+        (GeneratorSpec("kink", 20.0, kinked, 4.0), 3.0, 7.0),
+        # knee sqrt(2 * 8 / 1) = 4, capped at 2: (8 + 2 + 0.5 * 4) / 2
+        (GeneratorSpec("quad", 8.0, Quadratic(1.0, 1.0), 2.0), 1.0, 6.0),
+    ]
+    for unit, demand, want in cases:
+        ps = price_set([unit], demand)
+        assert ps.lo == pytest.approx(want, abs=1e-9), unit.id
+        assert ps.hi == pytest.approx(want, abs=1e-9), unit.id
 
 
 def test_aggregate_supply_examples(ex1, ex2):
@@ -257,9 +274,10 @@ def _supply_breaks(gens, caps):
 
 
 def _lnmgu_caps(inst):
-    """The caps of the two capped rules, at half the fleet's largest minimal
-    economic output, where the unit with that output is an LNMGU: large
-    units at served(x_max), and the binding one at demand + epsilon."""
+    """The fleets of the two capped rules, at half the fleet's largest
+    minimal economic output, where the unit with that output is an LNMGU:
+    large units capped at served(x_max), and the binding one at demand +
+    epsilon.  A capped unit is the unit with a lower x_max."""
     gens = inst.generators
     knee = max(ec_min(g) for g in gens)
     if knee == 0.0:
@@ -268,9 +286,10 @@ def _lnmgu_caps(inst):
     part = classify_lnmgu(inst, default_epsilon(inst))
     assert part.large
     served = CapacityRule(inst.demand).served
+    binding = inst.demand + part.epsilon
     return [
-        [served(g.x_max) if g.id in part.large else g.x_max for g in gens],
-        [inst.demand + part.epsilon if g.id == part.min_avg_id else g.x_max for g in gens],
+        [g._replace(x_max=served(g.x_max)) if g.id in part.large else g for g in gens],
+        [g._replace(x_max=binding) if g.id == part.min_avg_id else g for g in gens],
     ]
 
 
@@ -286,14 +305,15 @@ def test_aggregate_supply_never_falls_as_price_rises(mw, money):
     for inst in fleets:
         inst = oracles.scale_instance(inst, mw, money)
         gens = list(inst.generators)
-        capped_caps = _lnmgu_caps(inst)
-        capped += len(capped_caps)
-        for caps in [None] + capped_caps:
-            full = caps or [g.x_max for g in gens]
-            top = oracles.price_grid_upper_bound(gens, full)
+        capped_fleets = _lnmgu_caps(inst)
+        capped += len(capped_fleets)
+        for units in [gens] + capped_fleets:
+            # the oracle reads the caps against the uncapped units
+            caps = [u.x_max for u in units]
+            top = oracles.price_grid_upper_bound(gens, caps)
             grid = [top * k / 150 for k in range(151)]
-            prices = sorted(p for p in grid + _supply_breaks(gens, full) if p >= 0.0)
-            supplies = [aggregate_supply(gens, p, caps) for p in prices]
+            prices = sorted(p for p in grid + _supply_breaks(gens, caps) if p >= 0.0)
+            supplies = [aggregate_supply(units, p) for p in prices]
             for below, above, p in zip(supplies, supplies[1:], prices[1:]):
                 assert below.lo <= above.lo and below.hi <= above.hi, p
     assert capped >= 20

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -182,6 +183,39 @@ def test_markdown_rendering(ex1):
     assert cells["g"][0] == "1"
     assert float(cells["g"][1]) == pytest.approx(4.0, abs=1e-9)
     assert "Diagnostics: passed" in out
+
+
+def _markdown_tables(out):
+    """Each table of a markdown output, as its rows of cells."""
+    tables = []
+    for block in out.split("\n\n"):
+        lines = block.splitlines()
+        if lines and lines[0].startswith("|"):
+            for line in lines:
+                assert line.startswith("| ") and line.endswith(" |"), line
+            # an escaped pipe stays inside its cell
+            tables.append([re.split(r"(?<!\\)\|", line)[1:-1] for line in lines])
+    return tables
+
+
+def test_markdown_rows_have_as_many_cells_as_their_header():
+    inst = make_instance(
+        4,
+        [
+            {"id": "a|b", "w": 12, "curve": {"linear": 1}, "x_max": 12},
+            {"id": "c\nd", "w": 0, "curve": {"linear": 3}, "x_max": 2},
+            {"id": "e\r\nf|", "w": 0, "curve": {"linear": 4}, "x_max": 1},
+        ],
+    )
+    report = render_report(run_pipeline(inst), "markdown")
+    sweep = render_sweep(load_sweep(inst, [2.0, 4.0, 40.0]), "markdown")
+    tables = _markdown_tables(report) + _markdown_tables(sweep)
+    assert len(tables) == 3
+    for header, *rows in tables:
+        for row in rows:
+            assert len(row) == len(header), row
+    ids = [row[0].strip() for row in tables[1][2:]]
+    assert ids == ["a\\|b", "c<br>d", "e<br>f\\|"]
 
 
 def test_unknown_format_rejected(ex1):
