@@ -85,7 +85,7 @@ def ec_min(gen: GeneratorSpec, cap: float | None = None) -> float:
     is strictly decreasing below this point, so no price-taking unit ever
     produces inside (0, ec_min).
 
-    Callers cap a unit by its x_max; dropping ``cap`` read +11% memory [bench].
+    Callers lower x_max to cap a unit; dropping ``cap`` measured +11% peak memory [bench].
     """
     cap = _resolve_cap(gen, cap)
     w = gen.startup_cost
@@ -118,7 +118,7 @@ def hull_cost(gen: GeneratorSpec, cap: float | None = None) -> Hull:
     economic output; its slope is the lowest average total cost, the price
     at which running the unit first breaks even.
 
-    Callers cap a unit by its x_max; dropping ``cap`` read +11% memory [bench].
+    Callers lower x_max to cap a unit; dropping ``cap`` measured +11% peak memory [bench].
     """
     cap = _resolve_cap(gen, cap)
     knee = ec_min(gen, cap)
@@ -144,7 +144,7 @@ def supply_correspondence(gen: GeneratorSpec, p: float, cap: float | None = None
     the hulled cost; above it the response is the on-argmax clipped to
     [knee, cap].  The band PRICE_EQ_TOL decides "exactly at".
 
-    Callers cap a unit by its x_max; dropping ``cap`` read +11% memory [bench].
+    Callers lower x_max to cap a unit; dropping ``cap`` measured +11% peak memory [bench].
     """
     cap = _resolve_cap(gen, cap)
     hull = hull_cost(gen, cap)
