@@ -68,60 +68,48 @@ def average_total_cost(gen: GeneratorSpec, x: float) -> float:
     return (gen.startup_cost + gen.curve.value(x)) / x
 
 
-def _resolve_cap(gen: GeneratorSpec, cap: float | None) -> float:
-    if cap is None:
-        return gen.x_max
-    if cap <= 0 or cap > gen.x_max + boundary_tol():
-        raise DomainError(f"{gen.id}: cap {cap} outside (0, {gen.x_max}]")
-    return min(cap, gen.x_max)
-
-
-def ec_min(gen: GeneratorSpec, cap: float | None = None) -> float:
+def ec_min(gen: GeneratorSpec) -> float:
     """Minimal economic output: where average total cost stops falling.
 
-    Returns the lowest x in (0, cap) whose average total cost lies in the
-    marginal-cost range at x, 0 for units with no start-up cost, and cap
-    when average cost is still falling at the limit.  Average total cost
-    is strictly decreasing below this point, so no price-taking unit ever
-    produces inside (0, ec_min).
-
-    Callers lower x_max to cap a unit; dropping ``cap`` measured +11% peak memory [bench].
+    Returns the lowest x in (0, x_max) whose average total cost lies in
+    the marginal-cost range at x, 0 for units with no start-up cost, and
+    x_max when average cost is still falling at capacity.  Average total
+    cost is strictly decreasing below this point, so no price-taking unit
+    ever produces inside (0, ec_min).  A capped unit is the unit with a
+    lower x_max.
     """
-    cap = _resolve_cap(gen, cap)
+    x_max = gen.x_max
     w = gen.startup_cost
     if w == 0.0:
         return 0.0
     curve = gen.curve
     if isinstance(curve, Quadratic):
         x = math.sqrt(2.0 * w / curve.q)
-        return x if x < cap else cap
+        return x if x < x_max else x_max
     # piecewise linear: x * slope_right(x) - w - c(x) is constant between
     # kinks and nondecreasing, so the first kink where it turns >= 0 is
-    # the lowest crossing; with one segment, average cost falls up to the cap
+    # the lowest crossing; with one segment, average cost falls up to x_max
     total = 0.0
     left = 0.0
     for right, slope in curve.segments[:-1]:
         total += slope * (right - left)
         left = right
-        if left >= cap:
+        if left >= x_max:
             break
         next_slope = curve.slope_right(left)
         if left * next_slope - w - total >= 0.0:
             return left
-    return cap
+    return x_max
 
 
-def hull_cost(gen: GeneratorSpec, cap: float | None = None) -> Hull:
-    """Break-even threshold and knee of the convex envelope on [0, cap].
+def hull_cost(gen: GeneratorSpec) -> Hull:
+    """Break-even threshold and knee of the convex envelope on [0, x_max].
 
-    The chord from the origin is tangent at the (possibly capped) minimal
-    economic output; its slope is the lowest average total cost, the price
-    at which running the unit first breaks even.
-
-    Callers lower x_max to cap a unit; dropping ``cap`` measured +11% peak memory [bench].
+    The chord from the origin is tangent at the minimal economic output;
+    its slope is the lowest average total cost, the price at which running
+    the unit first breaks even.
     """
-    cap = _resolve_cap(gen, cap)
-    knee = ec_min(gen, cap)
+    knee = ec_min(gen)
     if knee > 0.0:
         return Hull((gen.startup_cost + gen.curve.value(knee)) / knee, knee)
     return Hull(gen.curve.slope_right(0.0), knee)
@@ -136,22 +124,20 @@ def profit(gen: GeneratorSpec, p: float) -> float:
     return max(0.0, p * x - gen.curve.value(x) - gen.startup_cost)
 
 
-def supply_correspondence(gen: GeneratorSpec, p: float, cap: float | None = None) -> Interval:
+def supply_correspondence(gen: GeneratorSpec, p: float) -> Interval:
     """Profit-maximizing output range at price p (hulled response).
 
     Below the break-even threshold the unit stays off.  Exactly at the
     threshold every output from 0 up to the best on-output is optimal for
     the hulled cost; above it the response is the on-argmax clipped to
-    [knee, cap].  The band PRICE_EQ_TOL decides "exactly at".
-
-    Callers lower x_max to cap a unit; dropping ``cap`` measured +11% peak memory [bench].
+    [knee, x_max].  The band PRICE_EQ_TOL decides "exactly at".
     """
-    cap = _resolve_cap(gen, cap)
-    hull = hull_cost(gen, cap)
+    x_max = gen.x_max
+    hull = hull_cost(gen)
     if p < hull.threshold - PRICE_EQ_TOL:
         return Interval(0.0, 0.0)
-    t_lo = min(max(gen.curve.min_out_at(p), hull.knee), cap)
-    t_hi = min(max(gen.curve.max_out_at(p), hull.knee), cap)
+    t_lo = min(max(gen.curve.min_out_at(p), hull.knee), x_max)
+    t_hi = min(max(gen.curve.max_out_at(p), hull.knee), x_max)
     if p <= hull.threshold + PRICE_EQ_TOL:
         return Interval(0.0, t_hi)
     return Interval(t_lo, t_hi)

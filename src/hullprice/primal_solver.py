@@ -89,7 +89,7 @@ def economic_dispatch(gens: Sequence[GeneratorSpec], demand: float):
     breaks = sorted(prices)
 
     need = rule.served(capacity)
-    target = need - DISPATCH_ROOM * max(1.0, abs(demand))
+    target = need - min(DISPATCH_ROOM * max(1.0, abs(demand)), rule.tol)
     # first breakpoint whose ceiling reaches the target; past the last one
     # every unit is at capacity
     k, top = 0, len(breaks) - 1

@@ -114,9 +114,14 @@ def _set_markdown(ps: PriceSet) -> str:
     return f"[{_sig(ps.lo)}, {_sig(ps.hi)}]"
 
 
+def _inline_markdown(text: str) -> str:
+    # a line break would end the row or paragraph, and could open a heading
+    return re.sub(r"\r\n?|\n", "<br>", text)
+
+
 def _cell_markdown(cell) -> str:
-    # a bare pipe would split the cell and a line break would end the row
-    return re.sub(r"\r\n?|\n", "<br>", str(cell).replace("|", "\\|"))
+    # a bare pipe would split the cell
+    return _inline_markdown(str(cell).replace("|", "\\|"))
 
 
 def _table_markdown(header: Sequence[str], rows) -> str:
@@ -207,7 +212,7 @@ def _report_markdown(report: PricingReport) -> list[str]:
     return [
         f"## Pricing report (demand {_sig(report.demand)} MW)",
         f"Exact dispatch cost: {_sig(report.dispatch.total_cost)} "
-        f"(committed: {', '.join(report.dispatch.committed_set) or 'none'})",
+        f"(committed: {_inline_markdown(', '.join(report.dispatch.committed_set)) or 'none'})",
         _table_markdown(["quantity", "hull pricing", "capped pricing"], summary),
         _table_markdown(
             ["generator", "u", "x", "hull uplift", "capped uplift"], _generator_rows(report)

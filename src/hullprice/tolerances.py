@@ -52,11 +52,14 @@ EPSILON_SHARE = 1e-6
 # Room, per MW of demand (at least 1 MW), by which economic dispatch's
 # output ceiling may miss the served amount at a breakpoint and still
 # reach it: the ceiling is a sum of rounded unit outputs, so one that
-# meets the served amount exactly can read a few ulps below it.
+# meets the served amount exactly can read a few ulps below it.  The
+# room is cut to the dispatch's own tolerance ``CapacityRule.tol``, which
+# it exceeds above 1,000 MW of demand, so the breakpoint search never
+# accepts a ceiling that the residual check then calls short.
 DISPATCH_ROOM = 1e-12
 
-# How far outside [0, x_max] an output or cap may fall before cost
-# evaluation refuses it (MW).
+# How far outside [0, x_max] an output may fall before cost evaluation
+# refuses it (MW).
 BOUNDARY_TOL = 1e-7
 
 

@@ -6,10 +6,14 @@ import random
 import pytest
 
 from hullprice import (
+    GeneratorSpec,
     InfeasibleError,
+    MarketInstance,
+    PiecewiseLinear,
     ValidationError,
     parse_instance,
     run_pipeline,
+    solve_primal,
     validate_instance,
 )
 from hullprice.cli import main
@@ -165,6 +169,45 @@ def test_cli_prices_a_regular_fleet_short_above_10_mw(tmp_path, capsys):
     assert code == 0
     assert "sweep: 2/2 demand levels priced" in err
     assert [row["case"] for row in json.loads(out)] == ["lnmgu_irrelevant", "lnmgu_marginal"]
+
+
+def _short_beside_oversized(demand, share):
+    """A free regular unit ``share`` of demand short of it, beside a unit
+    that serves demand alone at a start-up cost of 1e5."""
+    x_max = demand * (1.0 - share)
+    return MarketInstance(
+        demand,
+        (
+            GeneratorSpec("g0", 0.0, PiecewiseLinear(((x_max, 2.0),)), x_max),
+            GeneratorSpec("g1", 1e5, PiecewiseLinear(((2.0 * demand, 5.0),)), 2.0 * demand),
+        ),
+    )
+
+
+SHORT_ABOVE_1000_MW = [
+    (demand, share) for demand in (1e4, 1e5) for share in (2e-13, 5e-13, 1e-12)
+]
+
+
+@pytest.mark.parametrize("demand, share", SHORT_ABOVE_1000_MW)
+def test_dispatch_room_never_exceeds_the_dispatch_tolerance(demand, share):
+    """Above 1,000 MW, DISPATCH_ROOM * demand is wider than the dispatch
+    tolerance; the breakpoint search must not accept a ceiling that the
+    residual check then calls short."""
+    solution = solve_primal(_short_beside_oversized(demand, share))
+    assert solution.committed_set == ("g0", "g1")
+    served = sum(entry.output for entry in solution.schedule)
+    assert abs(served - demand) <= CapacityRule(demand).tol
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the hull crossing forgives g0's shortfall where dispatch does not [exact]",
+)
+@pytest.mark.parametrize("demand, share", SHORT_ABOVE_1000_MW)
+def test_fleet_short_above_1000_mw_passes_the_limit_check(demand, share):
+    assert run_pipeline(_short_beside_oversized(demand, share)).checks.limit_consistent_with_eps
 
 
 def _trimmed(instance, shortfall):

@@ -148,10 +148,9 @@ def test_ec_min_pwl_kink():
 
 
 def test_ec_min_with_cap_argument():
-    assert ec_min(EX2_G2, cap=5) == 5
-    assert ec_min(EX2_G2, cap=6) == pytest.approx(SQRT32, abs=1e-12)
-    with pytest.raises(DomainError):
-        ec_min(EX2_G2, cap=9)
+    # a capped unit is the unit with a lower x_max
+    assert ec_min(EX2_G2._replace(x_max=5)) == 5
+    assert ec_min(EX2_G2._replace(x_max=6)) == pytest.approx(SQRT32, abs=1e-12)
 
 
 def test_ec_min_matches_bisection_oracle():
@@ -196,11 +195,9 @@ def test_hull_zero_startup_is_curve_itself():
 
 
 def test_hull_capped_below_knee():
-    hull = hull_cost(EX2_G2, cap=5)
+    hull = hull_cost(EX2_G2._replace(x_max=5))
     assert hull.knee == 5
     assert hull.threshold == pytest.approx((16 + 12.5) / 5, abs=1e-12)  # 5.7
-    with pytest.raises(DomainError):
-        hull_cost(EX2_G2, cap=0)
 
 
 def test_hull_matches_geometric_oracle():
@@ -302,12 +299,13 @@ def test_supply_capped_quadratic_threshold_pattern():
     eps = 0.25
     cap = 4 + eps
     thr = (16 + cap * cap / 2) / cap
-    s = supply_correspondence(EX2_G2, thr + 0.01, cap=cap)
+    capped = EX2_G2._replace(x_max=cap)
+    s = supply_correspondence(capped, thr + 0.01)
     assert s.lo == pytest.approx(cap, abs=1e-9)
     assert s.hi == pytest.approx(cap, abs=1e-9)
-    s = supply_correspondence(EX2_G2, thr - 0.01, cap=cap)
+    s = supply_correspondence(capped, thr - 0.01)
     assert (s.lo, s.hi) == (0, 0)
-    s = supply_correspondence(EX2_G2, thr, cap=cap)
+    s = supply_correspondence(capped, thr)
     assert s.lo == 0 and s.hi == pytest.approx(cap, abs=1e-9)
 
 

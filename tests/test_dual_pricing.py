@@ -257,15 +257,15 @@ def test_weak_duality():
             assert dual_value(gens, d, p) <= v + 1e-7 * max(1.0, abs(v))
 
 
-def _supply_breaks(gens, caps):
+def _supply_breaks(units):
     """Each unit's threshold +- PRICE_EQ_TOL, PWL slopes and quadratic ramp ends,
     with the float on either side of each."""
     breaks = []
-    for g, cap in zip(gens, caps):
-        hull = hull_cost(g, cap)
+    for g in units:
+        hull = hull_cost(g)
         edges = [hull.threshold - PRICE_EQ_TOL, hull.threshold, hull.threshold + PRICE_EQ_TOL]
         if isinstance(g.curve, Quadratic):
-            edges += [g.curve.a + g.curve.q * hull.knee, g.curve.a + g.curve.q * cap]
+            edges += [g.curve.a + g.curve.q * hull.knee, g.curve.a + g.curve.q * g.x_max]
         else:
             edges += [slope for _, slope in g.curve.segments]
         for p in edges:
@@ -312,7 +312,7 @@ def test_aggregate_supply_never_falls_as_price_rises(mw, money):
             caps = [u.x_max for u in units]
             top = oracles.price_grid_upper_bound(gens, caps)
             grid = [top * k / 150 for k in range(151)]
-            prices = sorted(p for p in grid + _supply_breaks(gens, caps) if p >= 0.0)
+            prices = sorted(p for p in grid + _supply_breaks(units) if p >= 0.0)
             supplies = [aggregate_supply(units, p) for p in prices]
             for below, above, p in zip(supplies, supplies[1:], prices[1:]):
                 assert below.lo <= above.lo and below.hi <= above.hi, p

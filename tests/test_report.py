@@ -218,6 +218,13 @@ def test_markdown_rows_have_as_many_cells_as_their_header():
     assert ids == ["a\\|b", "c<br>d", "e<br>f\\|"]
 
 
+def test_markdown_paragraph_keeps_a_line_break_in_an_id_on_its_line():
+    inst = make_instance(1, [{"id": "g\n# x", "w": 0, "curve": {"linear": 1}, "x_max": 2}])
+    lines = render_report(run_pipeline(inst), "markdown").splitlines()
+    assert not [line for line in lines if line.startswith("# x")]
+    assert "Exact dispatch cost: 1.0 (committed: g<br># x)" in lines
+
+
 def test_unknown_format_rejected(ex1):
     rep = run_pipeline(ex1)
     with pytest.raises(UnknownFormatError):
