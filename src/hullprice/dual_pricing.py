@@ -16,7 +16,7 @@ import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .cost_analysis import Interval, average_total_cost, cost_eval, profit, supply_correspondence
+from .cost_analysis import Interval, _supply_ends, average_total_cost, cost_eval, profit
 from .errors import InfeasibleError, StalePriceError
 from .market_model import CapacityRule, GeneratorSpec, MarketInstance
 from .primal_solver import DispatchSolution
@@ -72,13 +72,17 @@ class UpliftReport(NamedTuple):
 
 
 def aggregate_supply(gens: Sequence[GeneratorSpec], p: float) -> Interval:
-    """Sum of all generators' optimal output ranges at price p."""
+    """Sum of all generators' optimal output ranges at price p.
+
+    Each unit's ends are ``supply_correspondence``'s, summed left to right
+    as plain floats.
+    """
     lo = 0.0
     hi = 0.0
     for g in gens:
-        s = supply_correspondence(g, p)
-        lo += s.lo
-        hi += s.hi
+        g_lo, g_hi = _supply_ends(g, p)
+        lo += g_lo
+        hi += g_hi
     return Interval(lo, hi)
 
 

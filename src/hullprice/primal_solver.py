@@ -166,10 +166,12 @@ class _PriceBound:
     ``terms`` holds each pool unit's w - pi(p), ``least[j][k]`` the k
     smallest of terms[j:], and ``sums[depth]`` the terms of the search
     path's first ``depth`` units.  A node whose term sums exceed
-    ``limit`` holds no subset cheaper than the incumbent.
+    ``limit`` holds no subset cheaper than the incumbent.  A node whose
+    every leaf reaches demand holds none cheaper by more than the
+    rounding room once its term sums reach ``tie_limit``.
     """
 
-    __slots__ = ("price", "terms", "least", "sums", "offset", "limit")
+    __slots__ = ("price", "terms", "least", "sums", "offset", "tie_offset", "limit", "tie_limit")
 
     def __init__(
         self, pool: Sequence[GeneratorSpec], price: float, rule: CapacityRule, path: Sequence[int]
@@ -184,7 +186,10 @@ class _PriceBound:
         scale = price * (rule.demand + sum(tops)) + sum(g.startup_cost for g in pool)
         # rounding room, less what a dispatch tol short of demand must pay
         self.offset = 2.0 * BOUND_SLACK * scale - price * (rule.demand - rule.tol)
+        # less the rounding room, where every subset pays for all of demand
+        self.tie_offset = -2.0 * BOUND_SLACK * scale - price * rule.demand
         self.limit = math.inf
+        self.tie_limit = math.inf
 
 
 def solve_primal(instance: MarketInstance) -> DispatchSolution:
@@ -213,9 +218,17 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
     sum of the units' profitable outputs) + sum of w (rounding).  It is
     also skipped when the prefix's capacity plus the ``left`` largest
     after it, widened by ``BOUND_SLACK`` of itself, is short of demand.
-    A skipped subset could not have become the incumbent, so the answer
-    is that of trying every subset.  A fleet short of demand raises
-    InfeasibleError before any subset is tried.
+
+    Where the prefix's capacity plus the ``left`` smallest after it
+    reaches demand, every subset below serves all of it, so the bound
+    charges p * demand, and the node is skipped once the bound at any
+    price reaches the incumbent less that rounding room.  A leaf whose
+    own capacity reaches demand gets the same test.  Costs within the
+    rounding room thus tie and go to walk order, so exact ties, such as
+    identical units, cost one dispatch instead of one per subset.
+    Otherwise a skipped subset could not have become the incumbent, and
+    the answer is that of trying every subset.  A fleet short of demand
+    raises InfeasibleError before any subset is tried.
     """
     gens = tuple(instance.generators)
     n = len(gens)
@@ -227,8 +240,10 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
     _, fleet_price = economic_dispatch(gens, demand)
     pool = sorted(gens, key=lambda g: g.id)
     caps = [g.x_max for g in pool]
+    least_caps = _suffix_sums(caps)
     most_caps = _suffix_sums(caps, reverse=True)
     room = 1.0 + BOUND_SLACK
+    tie_room = 1.0 - BOUND_SLACK
     path = []  # pool indices of the current node's prefix
     bounds = [_PriceBound(pool, fleet_price, rule, path)]
     best_cost = math.inf
@@ -239,9 +254,12 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
         nonlocal best_cost, best
         depth = len(path)
         for j in range(start, n - left + 1):
-            # both bounds only grow as j moves right
+            # both bounds only grow as j moves right, and once every leaf
+            # reaches demand, every leaf further right does
+            full = cap + least_caps[j][left] >= demand
             for b in bounds:
-                if b.sums[depth] + b.least[j][left] > b.limit:
+                total = b.sums[depth] + b.least[j][left]
+                if total >= b.tie_limit if full else total > b.limit:
                     return
             if rule.short((cap + most_caps[j][left]) * room):
                 return
@@ -251,7 +269,10 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
             if left > 1:
                 walk(j + 1, left - 1, cap + caps[j])
             elif not rule.short(cap + caps[j]) and all(
-                b.sums[depth + 1] <= b.limit for b in bounds
+                b.sums[depth + 1] < b.tie_limit
+                if cap + caps[j] >= demand
+                else b.sums[depth + 1] <= b.limit
+                for b in bounds
             ):
                 combo = [pool[i] for i in path]
                 outputs, lam = economic_dispatch(combo, demand)
@@ -265,6 +286,7 @@ def solve_primal(instance: MarketInstance) -> DispatchSolution:
                         bounds.append(_PriceBound(pool, lam, rule, path))
                     for b in bounds:
                         b.limit = best_cost * room + b.offset
+                        b.tie_limit = best_cost * tie_room + b.tie_offset
             path.pop()
 
     for size in range(1, n + 1):

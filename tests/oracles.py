@@ -552,5 +552,24 @@ def mixed_fleet(rng, n, kinds=("linear", "quadratic", "pwl")):
     return parse_instance(json.dumps({"demand": demand, "generators": gens}))
 
 
+def long_pwl_unit(rng, nseg, gid="long"):
+    """One unit's JSON entry with a convex PWL curve of ``nseg`` segments.
+
+    Kinks sit on the 1e-6 MW grid of a capacity in [3, 9] MW, slopes in
+    [0.2, 6] on the 1e-6 grid and w in [1, 40]: a curve long enough that
+    a pass over its segments per kink shows in wall time.
+    """
+    x_max = rng.randint(3000, 9000) / 1000.0
+    cuts = sorted(rng.sample(range(1, round(x_max * 1e6)), nseg - 1))
+    slopes = sorted(rng.randint(200_000, 6_000_000) / 1e6 for _ in range(nseg))
+    rights = [c / 1e6 for c in cuts] + [x_max]
+    return {
+        "id": gid,
+        "w": rng.randint(1000, 40000) / 1000.0,
+        "curve": {"pwl": [[r, s] for r, s in zip(rights, slopes)]},
+        "x_max": x_max,
+    }
+
+
 def max_marginal_cost(instance):
     return max(slope_left(g.curve, g.x_max) for g in instance.generators)

@@ -22,6 +22,7 @@ from hullprice import (
 )
 
 import oracles
+from conftest import make_instance
 
 SQRT32 = math.sqrt(32.0)
 
@@ -159,6 +160,19 @@ def test_ec_min_matches_bisection_oracle():
         inst = oracles.random_instance(rng)
         for g in inst.generators:
             assert ec_min(g) == pytest.approx(oracles.bisect_ec_min(g), abs=1e-9)
+    # long curves, each also capped below its last kink
+    rng = random.Random("long")
+    interior = [0, 0]
+    for nseg in (100, 300, 1000, 2000):
+        for _ in range(6):
+            (g,) = make_instance(1, [oracles.long_pwl_unit(rng, nseg)]).generators
+            capped = g._replace(x_max=round(g.x_max * rng.uniform(0.5, 0.99), 6))
+            for k, unit in enumerate((g, capped)):
+                knee = ec_min(unit)
+                interior[k] += knee < unit.x_max
+                assert knee == pytest.approx(oracles.bisect_ec_min(unit), abs=1e-9), nseg
+    # the knee falls inside some curves and caps, and at x_max for others
+    assert min(interior) >= 3 and max(interior) <= 20
 
 
 @given(

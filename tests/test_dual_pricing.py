@@ -19,6 +19,7 @@ from hullprice import (
     hull_cost,
     price_set,
     solve_primal,
+    supply_correspondence,
     uplifts,
 )
 from hullprice.market_model import CapacityRule
@@ -291,6 +292,22 @@ def _lnmgu_caps(inst):
         [g._replace(x_max=served(g.x_max)) if g.id in part.large else g for g in gens],
         [g._replace(x_max=binding) if g.id == part.min_avg_id else g for g in gens],
     ]
+
+
+def test_aggregate_supply_sums_each_units_supply_correspondence():
+    # aggregate_supply sums the ends supply_correspondence returns, left
+    # to right, float for float; the band around each threshold decides
+    rng = random.Random(24)
+    for _ in range(150):
+        gens = list(oracles.random_instance(rng).generators)
+        for p in _supply_breaks(gens):
+            lo = hi = 0.0
+            for g in gens:
+                s = supply_correspondence(g, p)
+                lo += s.lo
+                hi += s.hi
+            got = aggregate_supply(gens, p)
+            assert (got.lo.hex(), got.hi.hex()) == (lo.hex(), hi.hex()), p
 
 
 @pytest.mark.parametrize("mw, money", [(1.0, 1.0), (1e-3, 1e4), (1e3, 1e-3), (1e6, 1e6)])

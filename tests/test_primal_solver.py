@@ -354,6 +354,19 @@ def test_pruned_search_keeps_zero_startup_ties():
         _assert_matches_enumeration(make_instance(demand, same))
 
 
+@pytest.mark.parametrize("n", [14, 24])
+def test_exact_ties_dispatch_at_most_one_subset_per_unit(n):
+    # counters, not wall time: every three of these units cost 6, and
+    # trying each tied subset dispatched 16,279 of 16,383 at n = 14
+    same = [{"id": f"g{k:02d}", "w": 0, "curve": {"linear": 2}, "x_max": 1} for k in range(n)]
+    inst = make_instance(3, same)
+    got, calls = _counted_solve(solve_primal, inst)
+    assert calls <= n
+    assert got.committed_set == ("g00", "g01", "g02") and got.total_cost == 6.0
+    if n == 14:
+        _assert_same_solution(got, oracles.enumerate_primal(inst))
+
+
 def test_bound_allows_for_demand_left_unserved():
     # b is 5e-10 MW short of demand, within the feasibility band, and so
     # costs 1e-9 less than its bound would be if it served all of it: a

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,22 @@ def test_pipeline_reuses_price_sets_and_partition(monkeypatch, spec, max_price_s
     assert counts["aggregate_supply"] == supply_evals
     assert counts["mchp_price_set_eps"] == 1
     assert counts["classify_lnmgu"] <= 4
+
+
+def test_pipeline_prices_a_long_curve_in_linear_time():
+    # a unit's hull is one pass over its segments per supply evaluation;
+    # one pass per kink took about 5 s for this report, one pass 0.13 s
+    rng = random.Random("long/1000")
+    gens = [
+        oracles.long_pwl_unit(rng, 1000),
+        {"id": "g1", "w": 5, "curve": {"linear": 2}, "x_max": 4},
+        {"id": "g2", "w": 0, "curve": {"quadratic": {"a": 1, "q": 0.5}}, "x_max": 6},
+    ]
+    inst = make_instance(0.6 * sum(g["x_max"] for g in gens), gens)
+    t0 = time.perf_counter()
+    rep = run_pipeline(inst)
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.checks.passed
 
 
 def test_pipeline_report_invariants(ex1, ex2, ex3, ex4, ex5):
