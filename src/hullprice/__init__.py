@@ -7,8 +7,6 @@ the hull.
 
 from .cost_analysis import (
     Interval,
-    average_total_cost,
-    cost_eval,
     ec_min,
     hull_cost,
     profit,
@@ -33,28 +31,22 @@ from .errors import (
     ValidationError,
 )
 from .market_model import (
-    CostCurve,
     GeneratorSpec,
     MarketInstance,
     PiecewiseLinear,
     Quadratic,
     parse_instance,
-    validate_instance,
 )
 from .mchp import (
     DiagnosticsReport,
-    LnmguPartition,
     MchpResult,
     classify_lnmgu,
-    default_epsilon,
     diagnostics,
-    mchp_price_set_eps,
     mchp_price_set_limit,
     mchp_uplifts,
 )
 from .primal_solver import (
     DispatchSolution,
-    ScheduleEntry,
     economic_dispatch,
     solve_primal,
 )
@@ -64,21 +56,18 @@ from .report import (
     load_sweep,
     render_report,
     render_sweep,
-    report_dict,
     run_pipeline,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostCurve",
     "DiagnosticsReport",
     "DispatchSolution",
     "DomainError",
     "GeneratorSpec",
     "InfeasibleError",
     "Interval",
-    "LnmguPartition",
     "MarketInstance",
     "MchpResult",
     "PiecewiseLinear",
@@ -86,7 +75,6 @@ __all__ = [
     "PricingError",
     "PricingReport",
     "Quadratic",
-    "ScheduleEntry",
     "SchemaError",
     "SizeError",
     "StalePriceError",
@@ -95,17 +83,13 @@ __all__ = [
     "UpliftReport",
     "ValidationError",
     "aggregate_supply",
-    "average_total_cost",
     "classify_lnmgu",
-    "cost_eval",
-    "default_epsilon",
     "diagnostics",
     "dual_value",
     "ec_min",
     "economic_dispatch",
     "hull_cost",
     "load_sweep",
-    "mchp_price_set_eps",
     "mchp_price_set_limit",
     "mchp_uplifts",
     "parse_instance",
@@ -113,10 +97,8 @@ __all__ = [
     "profit",
     "render_report",
     "render_sweep",
-    "report_dict",
     "run_pipeline",
     "solve_primal",
     "supply_correspondence",
     "uplifts",
-    "validate_instance",
 ]

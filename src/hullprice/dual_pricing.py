@@ -207,42 +207,36 @@ def price_set(
 
 
 def dual_value(gens: Sequence[GeneratorSpec], demand: float, p: float) -> float:
-    """p * demand minus total price-taker profit at p."""
-    return p * demand - sum(profit(g, p) for g in gens)
+    """p * demand minus total price-taker profit at p, summed exactly, so
+    the order of the units does not matter."""
+    return p * demand - math.fsum(profit(g, p) for g in gens)
 
 
-def lost_profits(
+def settle(
     instance: MarketInstance,
     dispatch: DispatchSolution,
     p: float,
     units: Sequence[GeneratorSpec],
-) -> dict[str, float]:
-    """Each unit's best profit at p minus what its schedule earns.
-
-    ``units``, which may be capped, and ``dispatch.schedule`` list the units
-    in instance order; the schedule is costed on the instance's own units.
-    """
-    per = {}
-    for g, entry, unit in zip(instance.generators, dispatch.schedule, units, strict=True):
-        actual = p * entry.output - cost_eval(g, entry.output, entry.on)
-        per[g.id] = profit(unit, p) - actual
-    return per
-
-
-def uplifts(instance: MarketInstance, dispatch: DispatchSolution, p: float) -> UpliftReport:
+    ps: PriceSet,
+) -> UpliftReport:
     """Make-whole payments when the exact schedule settles at price p.
 
-    Each generator is paid the difference between its best profit at p and
-    the profit its scheduled output actually earns, so following the
-    schedule is never worse than self-scheduling.  The price must lie in
-    (or within STALE_PRICE_TOL of) the current price set.
+    Each unit is paid its best profit at p on ``units`` less what its
+    schedule earns on the instance's own unit, so following the schedule
+    is never worse than self-scheduling.  ``units``, which may be capped,
+    and ``dispatch.schedule`` list the units in instance order.  The price
+    must lie in (or within STALE_PRICE_TOL of) ``ps``; ``dual_value`` is
+    that of ``units``, and its gap to the dispatch cost is the total
+    uplift.
     """
-    gens = instance.generators
-    ps = price_set(gens, instance.demand)
     if not ps.contains(p, tol=STALE_PRICE_TOL):
         raise StalePriceError(f"price {p} is outside the clearing set [{ps.lo}, {ps.hi}]")
-    per = lost_profits(instance, dispatch, p, gens)
-    vd = dual_value(gens, instance.demand, p)
+    profits = [profit(u, p) for u in units]
+    per = {
+        g.id: best - (p * e.output - cost_eval(g, e.output, e.on))
+        for g, e, best in zip(instance.generators, dispatch.schedule, profits, strict=True)
+    }
+    vd = p * instance.demand - math.fsum(profits)
     return UpliftReport(
         price_used=p,
         per_generator=per,
@@ -251,3 +245,9 @@ def uplifts(instance: MarketInstance, dispatch: DispatchSolution, p: float) -> U
         gap=dispatch.total_cost - vd,
         price_set=ps,
     )
+
+
+def uplifts(instance: MarketInstance, dispatch: DispatchSolution, p: float) -> UpliftReport:
+    """``settle`` at a hull price: every unit at its full capacity."""
+    gens = tuple(instance.generators)
+    return settle(instance, dispatch, p, gens, price_set(gens, instance.demand))

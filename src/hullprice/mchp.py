@@ -21,11 +21,11 @@ import math
 from typing import NamedTuple
 
 from .cost_analysis import average_total_cost, ec_min
-from .dual_pricing import PriceSet, UpliftReport, lost_profits, price_set
-from .errors import DomainError, StalePriceError
+from .dual_pricing import PriceSet, UpliftReport, price_set, settle
+from .errors import DomainError
 from .market_model import CapacityRule, GeneratorSpec, MarketInstance
 from .primal_solver import DispatchSolution
-from .tolerances import DOMINANCE_SLACK, EPSILON_SHARE, PRICE_TOL, STALE_PRICE_TOL
+from .tolerances import DOMINANCE_SLACK, EPSILON_SHARE, PRICE_TOL
 
 # case tags for the vanishing-margin price set
 CASE_NO_LNMGU = "no_lnmgu"
@@ -43,28 +43,32 @@ class LnmguPartition(NamedTuple):
     lowest average total cost at demand + epsilon, the only one that can
     bind in the capped dual.  ``epsilon`` is the margin actually used
     after auto-shrinking below the smallest large-unit headroom.
+    ``p_bar`` is the lowest average total cost at demand of a large unit,
+    or None when there is none.
     """
 
     large: tuple[str, ...]
     min_avg_id: str | None
     epsilon: float
+    p_bar: float | None
 
 
 class MchpResult(NamedTuple):
-    """Vanishing-margin capped-dual prices and their settlement.
+    """Settlement at a vanishing-margin capped-dual price.
 
-    ``partition`` is the fleet split the settlement capped its units by.
+    The first six fields are ``UpliftReport``'s, with ``dual_value`` that
+    of the capped fleet.  ``partition`` is the fleet split the settlement
+    capped its units by.
     """
 
-    price_set: PriceSet
-    case_tag: str
+    price_used: float
     per_generator: dict[str, float]
     total_uplift: float
+    dual_value: float
+    gap: float
+    price_set: PriceSet
+    case_tag: str
     partition: LnmguPartition
-
-    @property
-    def epsilon_used(self) -> float:
-        return self.partition.epsilon
 
 
 class DiagnosticsReport(NamedTuple):
@@ -107,15 +111,17 @@ def classify_lnmgu(instance: MarketInstance, epsilon: float) -> LnmguPartition:
             headroom = min(headroom, floor - d)
 
     eps_used = 0.5 * headroom if epsilon >= headroom else epsilon
-    min_avg_id = None
+    min_avg_id = p_bar = None
     if large:
         # min keeps the first of equal costs, so ties go to the smallest id
         by_id = sorted(large, key=lambda g: g.id)
         min_avg_id = min(by_id, key=lambda g: average_total_cost(g, d + eps_used)).id
+        p_bar = min(average_total_cost(g, d) for g in large)
     return LnmguPartition(
         large=tuple(g.id for g in large),
         min_avg_id=min_avg_id,
         epsilon=eps_used,
+        p_bar=p_bar,
     )
 
 
@@ -171,7 +177,7 @@ def _limit_set(
         return price_set(gens, d, memo=memo), CASE_NO_LNMGU
 
     large = set(part.large)
-    p_bar = min(average_total_cost(g, d) for g in gens if g.id in large)
+    p_bar = part.p_bar
     regulars = [g for g in gens if g.id not in large]
     # the capped dual prices the regular fleet inside one that serves all
     # of demand, so it sets the price only if it clears demand by itself
@@ -187,7 +193,8 @@ def _limit_set(
 
 
 def mchp_uplifts(instance: MarketInstance, dispatch: DispatchSolution, p: float) -> MchpResult:
-    """Settle the exact schedule at a capped-dual price.
+    """Settle the exact schedule at a capped-dual price: ``settle`` on the
+    fleet with every large unit capped.
 
     Profits are evaluated with every large unit capped at demand, so the
     price can rise to p_bar without creating a lost-profit claim for
@@ -197,20 +204,9 @@ def mchp_uplifts(instance: MarketInstance, dispatch: DispatchSolution, p: float)
     """
     part = classify_lnmgu(instance, default_epsilon(instance))
     limit_set, tag = _limit_set(instance, part)
-    if not limit_set.contains(p, tol=STALE_PRICE_TOL):
-        raise StalePriceError(
-            f"price {p} is outside the capped clearing set [{limit_set.lo}, {limit_set.hi}]"
-        )
     # a large unit's x_max exceeds demand, so demand is its contract cap
     units = _capped(instance.generators, part.large, instance.demand)
-    per = lost_profits(instance, dispatch, p, units)
-    return MchpResult(
-        price_set=limit_set,
-        case_tag=tag,
-        per_generator=per,
-        total_uplift=sum(per.values()),
-        partition=part,
-    )
+    return MchpResult(*settle(instance, dispatch, p, units, limit_set), tag, part)
 
 
 def diagnostics(
@@ -246,8 +242,7 @@ def diagnostics(
         # the closed-form limit must agree with a small positive margin.
         # Average cost falls on (d, d + eps) and marginal cost is
         # nonnegative, so the margin lowers p_bar by at most eps * p_bar / d.
-        p_bar = min(average_total_cost(g, d) for g in gens if g.id in large)
-        gap = part.epsilon * p_bar / d + PRICE_TOL
+        gap = part.epsilon * part.p_bar / d + PRICE_TOL
         limit = mchp_result.price_set
         limit_ok = abs(kept.lo - limit.lo) <= gap and (
             math.inf in (limit.hi, kept.hi) or abs(kept.hi - limit.hi) <= gap

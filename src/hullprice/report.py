@@ -175,7 +175,7 @@ def report_dict(report: PricingReport) -> dict:
         "mchp": {
             "price_set": _set_json(report.mchp.price_set),
             "case": report.mchp.case_tag,
-            "epsilon_used": _sig(report.mchp.epsilon_used),
+            "epsilon_used": _sig(report.mchp.partition.epsilon),
             "total_uplift": _sig(report.mchp.total_uplift),
             "uplifts": {gid: _sig(v) for gid, v in report.mchp.per_generator.items()},
         },
@@ -201,11 +201,7 @@ def _report_markdown(report: PricingReport) -> list[str]:
     chp, mchp = report.chp, report.mchp
     summary = [
         ["price set", _set_markdown(chp.price_set), _set_markdown(mchp.price_set)],
-        [
-            "price used",
-            _sig(chp.price_used),
-            _sig(mchp.price_set.representative(report.price_representative)),
-        ],
+        ["price used", _sig(chp.price_used), _sig(mchp.price_used)],
         ["total uplift", _sig(chp.total_uplift), _sig(mchp.total_uplift)],
         ["case", "-", mchp.case_tag],
     ]

@@ -21,10 +21,10 @@ from hullprice import (
     DispatchSolution,
     PiecewiseLinear,
     Quadratic,
-    ScheduleEntry,
     parse_instance,
     primal_solver,
 )
+from hullprice.primal_solver import ScheduleEntry
 
 
 # ---------------------------------------------------------------- curves

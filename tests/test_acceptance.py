@@ -15,7 +15,6 @@ from hullprice import (
     classify_lnmgu,
     ec_min,
     load_sweep,
-    mchp_price_set_eps,
     mchp_price_set_limit,
     mchp_uplifts,
     price_set,
@@ -23,6 +22,7 @@ from hullprice import (
     solve_primal,
     uplifts,
 )
+from hullprice.mchp import mchp_price_set_eps
 
 import oracles
 import test_properties

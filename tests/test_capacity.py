@@ -14,10 +14,9 @@ from hullprice import (
     parse_instance,
     run_pipeline,
     solve_primal,
-    validate_instance,
 )
 from hullprice.cli import main
-from hullprice.market_model import CapacityRule
+from hullprice.market_model import CapacityRule, validate_instance
 
 import oracles
 

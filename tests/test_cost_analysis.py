@@ -13,13 +13,12 @@ from hullprice import (
     Interval,
     PiecewiseLinear,
     Quadratic,
-    average_total_cost,
-    cost_eval,
     ec_min,
     hull_cost,
     profit,
     supply_correspondence,
 )
+from hullprice.cost_analysis import average_total_cost, cost_eval
 
 import oracles
 from conftest import make_instance

@@ -13,7 +13,6 @@ from hullprice import (
     StalePriceError,
     aggregate_supply,
     classify_lnmgu,
-    default_epsilon,
     dual_value,
     ec_min,
     hull_cost,
@@ -23,6 +22,7 @@ from hullprice import (
     uplifts,
 )
 from hullprice.market_model import CapacityRule
+from hullprice.mchp import default_epsilon
 from hullprice.tolerances import PRICE_EQ_TOL
 
 import oracles

@@ -19,11 +19,10 @@ from hullprice import (
     ValidationError,
     load_sweep,
     parse_instance,
-    report_dict,
     run_pipeline,
-    validate_instance,
 )
-from hullprice.market_model import Fleet
+from hullprice.market_model import Fleet, validate_instance
+from hullprice.report import report_dict
 
 import oracles
 from conftest import EX1_JSON

@@ -8,16 +8,15 @@ from hullprice import (
     DomainError,
     StalePriceError,
     classify_lnmgu,
-    default_epsilon,
     diagnostics,
     ec_min,
-    mchp_price_set_eps,
     mchp_price_set_limit,
     mchp_uplifts,
     price_set,
     solve_primal,
     uplifts,
 )
+from hullprice.mchp import default_epsilon, mchp_price_set_eps
 
 import oracles
 from conftest import make_instance
@@ -27,6 +26,8 @@ def test_classify_example_two(ex2):
     part = classify_lnmgu(ex2, default_epsilon(ex2))
     assert part.large == ("g2", "g3")
     assert part.min_avg_id == "g3"
+    # average cost at demand 4: g3 22.4 / 4, below g2's (16 + 4**2) / 4
+    assert part.p_bar == 5.6
 
 
 def test_classify_example_three(ex3):
@@ -46,6 +47,7 @@ def test_classify_no_startup_costs():
     part = classify_lnmgu(inst, default_epsilon(inst))
     assert part.large == ()
     assert part.min_avg_id is None
+    assert part.p_bar is None
     assert part.epsilon == default_epsilon(inst)
 
 
@@ -216,7 +218,11 @@ def test_diagnostics_zero_startup_instance():
 
 
 def test_mchp_dominates_hull_uplift():
-    """Capped settlement always pays out no more than hull settlement."""
+    """Capped settlement always pays out no more than hull settlement.
+
+    It pays the gap between the dispatch cost and the capped fleet's dual
+    value, and capping lowers every unit's profit, so that dual value at
+    the capped price is at least the hull dual value at the hull price."""
     rng = random.Random(701)
     for _ in range(80):
         inst = oracles.random_instance(rng)
@@ -225,6 +231,9 @@ def test_mchp_dominates_hull_uplift():
         chp = uplifts(inst, sol, hull.representative("lo"))
         limit, _ = mchp_price_set_limit(inst)
         res = mchp_uplifts(inst, sol, limit.representative("lo"))
+        room = 1e-12 * sol.total_cost
+        assert abs(res.gap - res.total_uplift) <= room
+        assert res.dual_value >= chp.dual_value - room
         assert res.total_uplift >= -1e-7
         for v in res.per_generator.values():
             assert v >= -1e-7

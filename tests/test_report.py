@@ -17,7 +17,6 @@ import hullprice
 from hullprice import (
     SweepRow,
     UnknownFormatError,
-    default_epsilon,
     mchp_price_set_limit,
     parse_instance,
     price_set,
@@ -25,11 +24,12 @@ from hullprice import (
     load_sweep,
     render_report,
     render_sweep,
-    report_dict,
     run_pipeline,
 )
 from hullprice.cli import main
 from hullprice.market_model import demand_violations
+from hullprice.mchp import default_epsilon
+from hullprice.report import report_dict
 
 import oracles
 from conftest import EX1_JSON, EX2_JSON, EX3_JSON, EX4_JSON, EX5_JSON, LARGE_MW_FLEET, make_instance
