@@ -144,6 +144,27 @@ def _known_pred(prices: list, supplies: list, supply_at, test):
     return pred
 
 
+def _decide(gens: tuple, memo: dict | None, test):
+    """A ``_known_pred`` of ``test`` on the supply of ``gens``, reading and
+    filling the memo's lists for them when there is a memo."""
+    prices, supplies = memo.setdefault(gens, ([], [])) if memo is not None else ([], [])
+    return _known_pred(prices, supplies, lambda p: aggregate_supply(gens, p), test)
+
+
+def supply_reaches(gens: Sequence[GeneratorSpec], demand: float, *, memo: dict | None = None):
+    """The test that sets ``price_set``'s lower end, as a predicate on price.
+
+    It passes at p when the fleet's best-case supply there reaches the
+    served amount less the crossing slack of ``CapacityRule``.  It is
+    monotone in p, so where it fails ``price_set``'s lower end lies
+    above p.  ``memo`` is ``price_set``'s.
+    """
+    gens = tuple(gens)
+    rule = CapacityRule(demand)
+    target = rule.served(sum(g.x_max for g in gens)) - rule.slack
+    return _decide(gens, memo, lambda s: s.hi >= target)
+
+
 def price_set(
     gens: Sequence[GeneratorSpec],
     demand: float,
@@ -152,13 +173,14 @@ def price_set(
 ) -> PriceSet:
     """All prices at which aggregate supply can clear demand.
 
-    The lower endpoint is the first price at which supply reaches the
-    served amount less the crossing slack of ``CapacityRule``, the upper
-    one the last at which supply does not pass demand plus it.  Every
-    unit runs at its x_max at the bisection's upper bound, so supply there
-    is the capacity, which reaches the lower crossing unless the fleet is
-    short and passes the upper one unless the set is a ray.  A capped
-    unit is the unit with a lower x_max, ``g._replace(x_max=cap)``.
+    The lower endpoint is the first price at which ``supply_reaches``
+    passes: supply reaches the served amount less the crossing slack of
+    ``CapacityRule``.  The upper one is the last at which supply does not
+    pass demand plus that slack.  Every unit runs at its x_max at the
+    bisection's upper bound, so supply there is the capacity, which
+    reaches the lower crossing unless the fleet is short and passes the
+    upper one unless the set is a ray.  A capped unit is the unit with a
+    lower x_max, ``g._replace(x_max=cap)``.
 
     Each bisection keeps the prices it evaluated aggregate supply at,
     sorted, and the supplies there, and ``_known_pred`` decides from them
@@ -185,13 +207,7 @@ def price_set(
         raise InfeasibleError(f"total capacity {capacity} below demand {demand}")
 
     p_ub = _price_upper_bound(gens)
-    target = rule.served(capacity) - rule.slack
-
-    def decide(test):
-        prices, supplies = memo.setdefault(gens, ([], [])) if memo is not None else ([], [])
-        return _known_pred(prices, supplies, lambda p: aggregate_supply(gens, p), test)
-
-    reaches = decide(lambda s: s.hi >= target)
+    reaches = supply_reaches(gens, demand, memo=memo)
     if reaches(0.0):
         lower = 0.0
     else:
@@ -202,7 +218,7 @@ def price_set(
         # price still clears
         return PriceSet(lo=lower, hi=math.inf)
 
-    upper, _ = _bisect(lower, p_ub, decide(lambda s: s.lo > demand + rule.slack))
+    upper, _ = _bisect(lower, p_ub, _decide(gens, memo, lambda s: s.lo > demand + rule.slack))
     return PriceSet(lo=lower, hi=max(upper, lower))
 
 

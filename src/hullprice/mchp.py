@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .cost_analysis import average_total_cost, ec_min
-from .dual_pricing import PriceSet, UpliftReport, price_set, settle
+from .dual_pricing import PriceSet, UpliftReport, price_set, settle, supply_reaches
 from .errors import DomainError
 from .market_model import CapacityRule, GeneratorSpec, MarketInstance
 from .primal_solver import DispatchSolution
@@ -160,9 +160,14 @@ def mchp_price_set_limit(
     - P_red straddles p_bar: the set is P_red truncated above at p_bar;
     - P_red lies at or above p_bar: the set collapses to {p_bar}.
 
-    ``memo`` is ``price_set``'s supply memo, passed on to every price set
-    this computes, so a sweep that has priced the level's hull set gets
-    the ordinary one from the memo.
+    Where the regular fleet's best-case supply at p_bar - PRICE_TOL falls
+    short of P_red's lower crossing (``supply_reaches``), P_red's lower
+    end lies above that price, so one supply evaluation settles the
+    marginal case; only otherwise is P_red bisected.
+
+    ``memo`` is ``price_set``'s supply memo, passed on to that check and
+    to every price set this computes, so a sweep that has priced the
+    level's hull set gets the ordinary one from the memo.
     """
     return _limit_set(instance, classify_lnmgu(instance, default_epsilon(instance)), memo)
 
@@ -182,6 +187,12 @@ def _limit_set(
     # the capped dual prices the regular fleet inside one that serves all
     # of demand, so it sets the price only if it clears demand by itself
     if not regulars or not CapacityRule(d).clears(sum(g.x_max for g in regulars)):
+        return PriceSet(lo=p_bar, hi=p_bar), CASE_LNMGU_MARGINAL
+
+    # the reduced set's lower end is the first price at which
+    # ``supply_reaches`` passes, so where it fails at p_bar - PRICE_TOL
+    # that end lies above it: the marginal case, decided without bisecting
+    if not supply_reaches(regulars, d, memo=memo)(p_bar - PRICE_TOL):
         return PriceSet(lo=p_bar, hi=p_bar), CASE_LNMGU_MARGINAL
 
     reduced = price_set(regulars, d, memo=memo)

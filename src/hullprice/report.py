@@ -9,11 +9,11 @@ load_sweep reprices the same fleet over a demand grid.
 
 import csv
 import io
-import json
 import math
 import re
 from contextlib import contextmanager
 from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .dual_pricing import PriceSet, UpliftReport, price_set, uplifts
@@ -129,6 +129,33 @@ def _table_markdown(header: Sequence[str], rows) -> str:
     return "\n".join("| " + " | ".join(map(_cell_markdown, cells)) + " |" for cells in lines)
 
 
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for the values a
+    document holds: dicts with string keys, lists, strings, finite numbers,
+    bools and None.  ``json.dumps`` with an indent builds its pure-Python
+    encoder, whose closures are left in reference cycles on every call.
+    """
+    if isinstance(value, (dict, list)):
+        inner = indent + "  "
+        if isinstance(value, dict):
+            ends = "{}"
+            pairs = sorted(value.items())
+            items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in pairs]
+        else:
+            ends = "[]"
+            items = [_json(v, inner) for v in value]
+        if not items:
+            return ends
+        return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value)
+
+
 def _render(fmt: str, document, table, blocks) -> str:
     """The one format dispatch, with the one writer of each format.
 
@@ -137,7 +164,7 @@ def _render(fmt: str, document, table, blocks) -> str:
     called only for its own format.
     """
     if fmt == "json":
-        return json.dumps(document(), sort_keys=True, indent=2) + "\n"
+        return _json(document()) + "\n"
     if fmt == "csv":
         header, rows = table()
         buf = io.StringIO()

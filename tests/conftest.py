@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -10,6 +11,27 @@ from hullprice import parse_instance
 
 def make_instance(demand, gens):
     return parse_instance(json.dumps({"demand": demand, "generators": gens}))
+
+
+def count_calls(monkeypatch, functions):
+    """Count calls to each function under every hullprice name that binds it."""
+    counts = {f.__name__: 0 for f in functions}
+
+    def counting(f):
+        def wrapper(*args, **kwargs):
+            counts[f.__name__] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "hullprice"]
+    for f in functions:
+        wrapper = counting(f)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is f:
+                    monkeypatch.setattr(mod, key, wrapper)
+    return counts
 
 
 EX1_JSON = {

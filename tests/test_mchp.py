@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+import hullprice
 from hullprice import (
     DomainError,
+    PriceSet,
     StalePriceError,
     classify_lnmgu,
     diagnostics,
@@ -16,10 +18,12 @@ from hullprice import (
     solve_primal,
     uplifts,
 )
+from hullprice.market_model import CapacityRule
 from hullprice.mchp import default_epsilon, mchp_price_set_eps
+from hullprice.tolerances import PRICE_TOL
 
 import oracles
-from conftest import make_instance
+from conftest import count_calls, make_instance
 
 
 def test_classify_example_two(ex2):
@@ -144,6 +148,66 @@ def test_limit_prices_ignore_priced_out_large_unit():
     assert tag == "lnmgu_irrelevant"
     assert ps.lo == pytest.approx(3.0, abs=1e-9)
     assert ps.hi == pytest.approx(3.0, abs=1e-9)
+
+
+def test_marginal_limit_set_takes_one_supply_check(ex2, monkeypatch):
+    # at demand 6 only g3 is large; the regular fleet {g1, g2} serves
+    # demand, but its supply reaches it only above p_bar = 22.4 / 6, so one
+    # evaluation at p_bar decides the case without the reduced price set
+    counts = count_calls(
+        monkeypatch, [hullprice.dual_pricing.aggregate_supply, hullprice.dual_pricing.price_set]
+    )
+    ps, tag = mchp_price_set_limit(ex2._replace(demand=6.0))
+    assert tag == "lnmgu_marginal"
+    assert ps == (22.4 / 6, 22.4 / 6)
+    assert counts == {"aggregate_supply": 1, "price_set": 0}
+
+
+def _four_branch_limit(inst):
+    """The limit set's case analysis, fed the regular fleet's full price set."""
+    part = classify_lnmgu(inst, default_epsilon(inst))
+    d = inst.demand
+    if not part.large:
+        return price_set(inst.generators, d), "no_lnmgu"
+    p_bar = part.p_bar
+    regulars = [g for g in inst.generators if g.id not in part.large]
+    if not regulars or not CapacityRule(d).clears(sum(g.x_max for g in regulars)):
+        return PriceSet(p_bar, p_bar), "lnmgu_marginal"
+    reduced = price_set(regulars, d)
+    if reduced.hi < p_bar - PRICE_TOL:
+        return reduced, "lnmgu_irrelevant"
+    if reduced.lo >= p_bar - PRICE_TOL:
+        return PriceSet(p_bar, p_bar), "lnmgu_marginal"
+    return PriceSet(reduced.lo, p_bar), "interval_upper_capped"
+
+
+# the scalings of the uplift claim across demand, and one that puts every
+# p_bar below PRICE_TOL, so that p_bar - PRICE_TOL is a negative price
+LIMIT_SCALINGS = [(1.0, 1.0), (1e-3, 1e4), (1e3, 1e-3), (1e6, 1e6), (1e3, 1e-9)]
+
+
+def test_limit_set_is_the_four_branch_analysis_bit_for_bit(monkeypatch):
+    """A marginal case settled by one supply check at p_bar gives the set
+    and tag the reduced fleet's full price set gives."""
+    counts = count_calls(monkeypatch, [hullprice.dual_pricing.aggregate_supply])
+    rng = random.Random(27)
+    fired = below_tol = 0
+    for mw, money in LIMIT_SCALINGS:
+        for _ in range(60):
+            fleet = oracles.scale_instance(oracles.random_instance(rng), mw, money)
+            for _ in range(6):
+                inst = fleet._replace(demand=rng.uniform(0.05, 1.0) * fleet.total_capacity)
+                counts["aggregate_supply"] = 0
+                ps, tag = mchp_price_set_limit(inst)
+                # only the one-check branch evaluates supply exactly once
+                fired += counts["aggregate_supply"] == 1
+                want_ps, want_tag = _four_branch_limit(inst)
+                assert tag == want_tag
+                assert [x.hex() for x in ps] == [x.hex() for x in want_ps]
+                # a marginal set is {p_bar}
+                below_tol += tag == "lnmgu_marginal" and ps.lo < PRICE_TOL
+    assert fired >= 50
+    assert below_tol > 0
 
 
 def test_mchp_uplift_example_one(ex1):

@@ -1,6 +1,7 @@
 """Pipeline reports, renderers, demand sweeps and the CLI."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -32,7 +33,16 @@ from hullprice.mchp import default_epsilon
 from hullprice.report import report_dict
 
 import oracles
-from conftest import EX1_JSON, EX2_JSON, EX3_JSON, EX4_JSON, EX5_JSON, LARGE_MW_FLEET, make_instance
+from conftest import (
+    EX1_JSON,
+    EX2_JSON,
+    EX3_JSON,
+    EX4_JSON,
+    EX5_JSON,
+    LARGE_MW_FLEET,
+    count_calls,
+    make_instance,
+)
 
 
 def test_pipeline_example_three(ex3):
@@ -67,44 +77,24 @@ def test_pipeline_marginal_unit_needs_no_uplift():
     assert rep.checks.passed
 
 
-def _count_calls(monkeypatch, functions):
-    """Count calls to each function under every hullprice name that binds it."""
-    counts = {f.__name__: 0 for f in functions}
-
-    def counting(f):
-        def wrapper(*args, **kwargs):
-            counts[f.__name__] += 1
-            return f(*args, **kwargs)
-
-        return wrapper
-
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "hullprice"]
-    for f in functions:
-        wrapper = counting(f)
-        for mod in modules:
-            for key, value in list(vars(mod).items()):
-                if value is f:
-                    monkeypatch.setattr(mod, key, wrapper)
-    return counts
-
-
 @pytest.mark.parametrize(
     "spec, max_price_sets, supply_evals",
     [
         (EX1_JSON, 4, 348),
         (EX2_JSON, 4, 358),
-        (EX3_JSON, 6, 532),
-        (EX4_JSON, 6, 446),
+        (EX3_JSON, 6, 534),
+        (EX4_JSON, 6, 448),
         (EX5_JSON, 4, 354),
     ],
     ids=["ex1", "ex2", "ex3", "ex4", "ex5"],
 )
 def test_pipeline_reuses_price_sets_and_partition(monkeypatch, spec, max_price_sets, supply_evals):
     # one hull set each in run_pipeline and uplifts' stale check, the same
-    # pair for the reduced fleet when it can serve demand, and the two
+    # pair for the reduced fleet when it can serve demand (each after one
+    # supply check below p_bar that did not settle the case), and the two
     # capped sets diagnostics compares.  A report prices one demand and
     # keeps no supply memo, so its supply evaluations are pinned exactly.
-    counts = _count_calls(
+    counts = count_calls(
         monkeypatch,
         [
             hullprice.dual_pricing.price_set,
@@ -158,6 +148,38 @@ def test_json_rendering_is_deterministic(ex2):
     assert payload["mchp"]["case"] == "lnmgu_marginal"
     assert payload["checks"]["passed"] is True
     assert "timings" not in payload
+
+
+def test_json_rendering_is_json_dumps():
+    # canonical JSON is json.dumps(sort_keys=True, indent=2), here on random
+    # reports and sweeps whose ids need escaping
+    rng = random.Random(27)
+    for k in range(20):
+        spec = json.loads(oracles.serialize_instance(oracles.random_instance(rng)))
+        for n, g in enumerate(spec["generators"]):
+            g["id"] = f'g{n}"\\/\u00e9\U0001f600\t{k}'
+        inst = parse_instance(json.dumps(spec))
+        rep = run_pipeline(inst)
+        want = json.dumps(report_dict(rep), sort_keys=True, indent=2) + "\n"
+        assert render_report(rep, "json") == want
+        grid = [0.5 * inst.total_capacity, inst.total_capacity, 2 * inst.total_capacity]
+        swept = render_sweep(load_sweep(inst, grid), "json")
+        assert json.loads(swept)[1]["chp"]["hi"] is None
+        assert swept == json.dumps(json.loads(swept), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_rendering_leaves_no_reference_cycles(ex3, fmt):
+    rep = run_pipeline(ex3)
+    rows = load_sweep(ex3, [1, 4, 40])
+    gc.disable()
+    try:
+        gc.collect()
+        render_report(rep, fmt)
+        render_sweep(rows, fmt)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_json_encodes_ray_as_null():
@@ -276,7 +298,7 @@ def test_sweep_reprices_a_level_without_an_lnmgu_from_the_memo(ex2, monkeypatch)
     # levels 10 and 16 have no oversized unit: their capped set is the hull
     # set, which the sweep prices again from the memo without evaluating
     # the fleet's supply again
-    counts = _count_calls(monkeypatch, [hullprice.dual_pricing.aggregate_supply])
+    counts = count_calls(monkeypatch, [hullprice.dual_pricing.aggregate_supply])
     rows = load_sweep(ex2, [10, 16])
     assert [r.case_tag for r in rows] == ["no_lnmgu", "no_lnmgu"]
     assert rows[0].mchp == rows[0].chp and rows[1].mchp == rows[1].chp
@@ -286,6 +308,23 @@ def test_sweep_reprices_a_level_without_an_lnmgu_from_the_memo(ex2, monkeypatch)
     for d in (10, 16):
         price_set(ex2.generators, d, memo=memo)
     assert counts["aggregate_supply"] == sweep_evals > 0
+
+
+def test_sweep_pins_its_supply_evaluations_on_the_golden_grid(ex2, monkeypatch):
+    # the sweep counterpart of the report pins above: ex2's golden grid
+    # has a level of every case.  At demand 6 the regular fleet serves
+    # demand but not below p_bar, so one supply check there settles the
+    # marginal case in place of the reduced fleet's price set
+    counts = count_calls(monkeypatch, [hullprice.dual_pricing.aggregate_supply])
+    rows = load_sweep(ex2, [1, 3, 4, 6, 9, 12, 4, 0.5, 40])
+    assert {r.case_tag for r in rows} == {
+        "interval_upper_capped",
+        "lnmgu_marginal",
+        "no_lnmgu",
+        "lnmgu_irrelevant",
+        None,
+    }
+    assert counts["aggregate_supply"] == 192
 
 
 def _per_level_sweep(instance, demands):
@@ -365,7 +404,7 @@ def test_sweep_memo_saves_most_supply_evaluations(monkeypatch):
     inst = _fleet_with_oversized_unit(random.Random(1))
     capacity = inst.total_capacity
     grid = [capacity * (k + 0.5) / 40 for k in range(40)]
-    counts = _count_calls(monkeypatch, [hullprice.dual_pricing.aggregate_supply])
+    counts = count_calls(monkeypatch, [hullprice.dual_pricing.aggregate_supply])
     want = _per_level_sweep(inst, grid)
     without_memo = counts["aggregate_supply"]
     counts["aggregate_supply"] = 0
